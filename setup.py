@@ -37,12 +37,11 @@ setup(
     # must travel with the package for `--cost-model profiled:<pack>`.
     package_data={"repro.core": ["profiles/*.json"]},
     include_package_data=True,
-    install_requires=[
-        "numpy",
-        "networkx",
-    ],
+    install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
+        # networkx is the oracle the topology tests check the closed-form
+        # hop counts and routes against; the package itself never imports it.
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy", "networkx"],
     },
     entry_points={
         "console_scripts": [

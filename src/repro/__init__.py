@@ -24,50 +24,34 @@ Quickstart
 >>> print(result.describe())  # doctest: +SKIP
 """
 
-from repro.accelerator import ArrayConfig, EnergyModel
-from repro.analysis import ExperimentRunner
-from repro.core import (
-    CommunicationModel,
-    HierarchicalAssignment,
-    HierarchicalPartitioner,
-    LayerAssignment,
-    Parallelism,
-    ScalingMode,
-    TwoWayPartitioner,
-)
-from repro.interconnect import HTreeTopology, TorusTopology, build_topology
-from repro.nn import DNNModel, build_model, get_model
-from repro.sim import (
-    SimulationResult,
-    SimulationSpec,
-    TrainingSimulator,
-    simulate,
-    simulate_partitioned,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "Parallelism",
-    "LayerAssignment",
-    "HierarchicalAssignment",
-    "CommunicationModel",
-    "TwoWayPartitioner",
-    "HierarchicalPartitioner",
-    "ScalingMode",
-    "DNNModel",
-    "build_model",
-    "get_model",
-    "ArrayConfig",
-    "EnergyModel",
-    "HTreeTopology",
-    "TorusTopology",
-    "build_topology",
-    "TrainingSimulator",
-    "SimulationSpec",
-    "SimulationResult",
-    "simulate",
-    "simulate_partitioned",
-    "ExperimentRunner",
-]
+#: Public name -> defining subpackage, imported on first access.
+_EXPORTS = {
+    "Parallelism": "core",
+    "LayerAssignment": "core",
+    "HierarchicalAssignment": "core",
+    "CommunicationModel": "core",
+    "TwoWayPartitioner": "core",
+    "HierarchicalPartitioner": "core",
+    "ScalingMode": "core",
+    "DNNModel": "nn",
+    "build_model": "nn",
+    "get_model": "nn",
+    "ArrayConfig": "accelerator",
+    "EnergyModel": "accelerator",
+    "HTreeTopology": "interconnect",
+    "TorusTopology": "interconnect",
+    "build_topology": "interconnect",
+    "TrainingSimulator": "sim",
+    "SimulationSpec": "sim",
+    "SimulationResult": "sim",
+    "simulate": "sim",
+    "simulate_partitioned": "sim",
+    "ExperimentRunner": "analysis",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -12,53 +12,33 @@ event-driven simulation needs:
 * :class:`~repro.accelerator.array.ArrayConfig` -- the whole array.
 """
 
-from repro.accelerator.accelerator import Accelerator, LayerExecution
-from repro.accelerator.array import (
-    DEFAULT_NUM_ACCELERATORS,
-    LINK_BANDWIDTH_BITS,
-    PAPER_ARRAY,
-    TOTAL_NETWORK_BANDWIDTH_BITS,
-    ArrayConfig,
-)
-from repro.accelerator.energy import (
-    ADD_ENERGY_PJ,
-    DRAM_ACCESS_PJ,
-    MULT_ENERGY_PJ,
-    PAPER_ENERGY_MODEL,
-    SRAM_ACCESS_PJ,
-    EnergyModel,
-)
-from repro.accelerator.hmc import HMC_CAPACITY, HMC_INTERNAL_BANDWIDTH, HMCConfig
-from repro.accelerator.pe_array import (
-    PE_COLS,
-    PE_ROWS,
-    PU_BUFFER_BYTES,
-    PU_CLOCK_HZ,
-    PU_GOPS,
-    RowStationaryPU,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Accelerator",
-    "LayerExecution",
-    "ArrayConfig",
-    "PAPER_ARRAY",
-    "DEFAULT_NUM_ACCELERATORS",
-    "LINK_BANDWIDTH_BITS",
-    "TOTAL_NETWORK_BANDWIDTH_BITS",
-    "EnergyModel",
-    "PAPER_ENERGY_MODEL",
-    "ADD_ENERGY_PJ",
-    "MULT_ENERGY_PJ",
-    "SRAM_ACCESS_PJ",
-    "DRAM_ACCESS_PJ",
-    "HMCConfig",
-    "HMC_CAPACITY",
-    "HMC_INTERNAL_BANDWIDTH",
-    "RowStationaryPU",
-    "PU_GOPS",
-    "PU_BUFFER_BYTES",
-    "PU_CLOCK_HZ",
-    "PE_ROWS",
-    "PE_COLS",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "Accelerator": "accelerator",
+    "LayerExecution": "accelerator",
+    "ArrayConfig": "array",
+    "PAPER_ARRAY": "array",
+    "DEFAULT_NUM_ACCELERATORS": "array",
+    "LINK_BANDWIDTH_BITS": "array",
+    "TOTAL_NETWORK_BANDWIDTH_BITS": "array",
+    "EnergyModel": "energy",
+    "PAPER_ENERGY_MODEL": "energy",
+    "ADD_ENERGY_PJ": "energy",
+    "MULT_ENERGY_PJ": "energy",
+    "SRAM_ACCESS_PJ": "energy",
+    "DRAM_ACCESS_PJ": "energy",
+    "HMCConfig": "hmc",
+    "HMC_CAPACITY": "hmc",
+    "HMC_INTERNAL_BANDWIDTH": "hmc",
+    "RowStationaryPU": "pe_array",
+    "PU_GOPS": "pe_array",
+    "PU_BUFFER_BYTES": "pe_array",
+    "PU_CLOCK_HZ": "pe_array",
+    "PE_ROWS": "pe_array",
+    "PE_COLS": "pe_array",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

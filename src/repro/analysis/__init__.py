@@ -15,108 +15,55 @@
 * :mod:`repro.analysis.report` -- table/series formatting helpers.
 """
 
-from repro.analysis.churn_study import (
-    ChurnPoint,
-    ChurnStudy,
-    run_churn_study,
-)
-from repro.analysis.congestion_study import (
-    CongestionComparison,
-    CongestionConfig,
-    CongestionStudy,
-    run_congestion_study,
-)
+from repro._exports import lazy_exports
 
-from repro.analysis.experiments import (
-    DATA_PARALLELISM,
-    HYPAR,
-    MODEL_PARALLELISM,
-    ONE_WEIRD_TRICK,
-    EvaluationTable,
-    ExperimentRunner,
-    ModelComparison,
-)
-from repro.analysis.exploration import (
-    ExplorationPoint,
-    ExplorationResult,
-    ParallelismExplorer,
-    bit_string,
-    describe_point,
-)
-from repro.analysis.report import format_series, format_table, format_value, geometric_mean
-from repro.analysis.sensitivity import (
-    DEFAULT_BATCH_SIZES,
-    DEFAULT_LINK_BANDWIDTHS,
-    SensitivityPoint,
-    SensitivityStudy,
-    batch_size_sensitivity,
-    link_bandwidth_sensitivity,
-    precision_sensitivity,
-)
-from repro.analysis.scalability import (
-    DEFAULT_ARRAY_SIZES,
-    ScalabilityCurve,
-    ScalabilityPoint,
-    ScalabilityStudy,
-    run_scalability_study,
-)
-from repro.analysis.topology_study import (
-    TopologyComparison,
-    TopologyStudy,
-    run_topology_study,
-)
-from repro.analysis.trick_study import (
-    DEFAULT_CONFIGS,
-    FOCUS_LAYERS,
-    TrickComparison,
-    TrickStudy,
-    focus_subnetwork,
-    run_trick_study,
-)
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "ChurnPoint": "churn_study",
+    "ChurnStudy": "churn_study",
+    "run_churn_study": "churn_study",
+    "CongestionComparison": "congestion_study",
+    "CongestionConfig": "congestion_study",
+    "CongestionStudy": "congestion_study",
+    "run_congestion_study": "congestion_study",
+    "ExperimentRunner": "experiments",
+    "EvaluationTable": "experiments",
+    "ModelComparison": "experiments",
+    "MODEL_PARALLELISM": "experiments",
+    "DATA_PARALLELISM": "experiments",
+    "HYPAR": "experiments",
+    "ONE_WEIRD_TRICK": "experiments",
+    "ParallelismExplorer": "exploration",
+    "ExplorationResult": "exploration",
+    "ExplorationPoint": "exploration",
+    "describe_point": "exploration",
+    "bit_string": "exploration",
+    "run_scalability_study": "scalability",
+    "ScalabilityStudy": "scalability",
+    "ScalabilityCurve": "scalability",
+    "ScalabilityPoint": "scalability",
+    "DEFAULT_ARRAY_SIZES": "scalability",
+    "run_topology_study": "topology_study",
+    "TopologyStudy": "topology_study",
+    "TopologyComparison": "topology_study",
+    "run_trick_study": "trick_study",
+    "TrickStudy": "trick_study",
+    "TrickComparison": "trick_study",
+    "DEFAULT_CONFIGS": "trick_study",
+    "FOCUS_LAYERS": "trick_study",
+    "focus_subnetwork": "trick_study",
+    "geometric_mean": "report",
+    "format_table": "report",
+    "format_series": "report",
+    "format_value": "report",
+    "batch_size_sensitivity": "sensitivity",
+    "link_bandwidth_sensitivity": "sensitivity",
+    "precision_sensitivity": "sensitivity",
+    "SensitivityStudy": "sensitivity",
+    "SensitivityPoint": "sensitivity",
+    "DEFAULT_BATCH_SIZES": "sensitivity",
+    "DEFAULT_LINK_BANDWIDTHS": "sensitivity",
+}
 
-__all__ = [
-    "ChurnPoint",
-    "ChurnStudy",
-    "run_churn_study",
-    "CongestionComparison",
-    "CongestionConfig",
-    "CongestionStudy",
-    "run_congestion_study",
-    "ExperimentRunner",
-    "EvaluationTable",
-    "ModelComparison",
-    "MODEL_PARALLELISM",
-    "DATA_PARALLELISM",
-    "HYPAR",
-    "ONE_WEIRD_TRICK",
-    "ParallelismExplorer",
-    "ExplorationResult",
-    "ExplorationPoint",
-    "describe_point",
-    "bit_string",
-    "run_scalability_study",
-    "ScalabilityStudy",
-    "ScalabilityCurve",
-    "ScalabilityPoint",
-    "DEFAULT_ARRAY_SIZES",
-    "run_topology_study",
-    "TopologyStudy",
-    "TopologyComparison",
-    "run_trick_study",
-    "TrickStudy",
-    "TrickComparison",
-    "DEFAULT_CONFIGS",
-    "FOCUS_LAYERS",
-    "focus_subnetwork",
-    "geometric_mean",
-    "format_table",
-    "format_series",
-    "format_value",
-    "batch_size_sensitivity",
-    "link_bandwidth_sensitivity",
-    "precision_sensitivity",
-    "SensitivityStudy",
-    "SensitivityPoint",
-    "DEFAULT_BATCH_SIZES",
-    "DEFAULT_LINK_BANDWIDTHS",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -86,12 +86,10 @@ import argparse
 import sys
 from typing import Sequence
 
+# Every command builds the whole parser, whose choices, defaults and
+# validators come from these modules.  Anything else is imported by the
+# handler that runs it, so a command loads only what it uses.
 from repro.accelerator.array import ArrayConfig
-from repro.analysis.experiments import ExperimentRunner
-from repro.analysis.report import format_series, format_table
-from repro.analysis.scalability import run_scalability_study
-from repro.analysis.topology_study import run_topology_study
-from repro.analysis.trick_study import run_trick_study
 from repro.core import kernels
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import DEFAULT_SPACE, StrategySpace
@@ -101,16 +99,44 @@ from repro.nn.model_zoo import all_model_builders, get_model
 from repro.sim.backend import DEFAULT_SIM_ENGINE, SIM_ENGINES
 
 
+def _model_name(name: str) -> str:
+    """``type=`` of model-name arguments: a name :func:`get_model` accepts."""
+    try:
+        get_model(name)
+    except (KeyError, ValueError) as error:
+        # KeyError reprs with quotes around the message; unwrap it.
+        raise argparse.ArgumentTypeError(error.args[0]) from None
+    return name
+
+
+def _batch_size(text: str) -> int:
+    """``type=`` of ``--batch-size``: a positive integer."""
+    batch_size = int(text)
+    if batch_size <= 0:
+        raise argparse.ArgumentTypeError(f"batch_size must be positive, got {batch_size}")
+    return batch_size
+
+
+def _accelerator_count(text: str) -> int:
+    """``type=`` of ``--accelerators``: an array size :class:`ArrayConfig` accepts."""
+    count = int(text)
+    try:
+        ArrayConfig(num_accelerators=count)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return count
+
+
 def _add_platform_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-size",
-        type=int,
+        type=_batch_size,
         default=DEFAULT_BATCH_SIZE,
         help="training batch size (default: %(default)s, the paper's setting)",
     )
     parser.add_argument(
         "--accelerators",
-        type=int,
+        type=_accelerator_count,
         default=16,
         help="number of accelerators in the array; must be a power of two "
         "(default: %(default)s)",
@@ -177,7 +203,9 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_runner(args: argparse.Namespace, include_trick: bool = False) -> ExperimentRunner:
+def _build_runner(args: argparse.Namespace, include_trick: bool = False):
+    from repro.analysis.experiments import ExperimentRunner
+
     array = ArrayConfig(num_accelerators=args.accelerators)
     return ExperimentRunner(
         array=array,
@@ -312,6 +340,9 @@ def _write_study_rows(args: argparse.Namespace, name: str, rows) -> None:
 
 
 def _cmd_scalability(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_series
+    from repro.analysis.scalability import run_scalability_study
+
     model = get_model(args.model)
     sizes = [int(size) for size in args.sizes.split(",")]
     study = run_scalability_study(
@@ -355,6 +386,9 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.analysis.topology_study import run_topology_study
+
     models = [get_model(name) for name in args.models] if args.models else None
     study = run_topology_study(
         models=models,
@@ -379,6 +413,9 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_trick(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.analysis.trick_study import run_trick_study
+
     study = run_trick_study(
         scaling_mode=args.scaling_mode, strategies=args.strategies
     )
@@ -633,7 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
     partition_parser = subparsers.add_parser(
         "partition", help="search the hybrid parallelism for one network (Figure 5)"
     )
-    partition_parser.add_argument("model", help="network name, e.g. AlexNet or VGG-A")
+    partition_parser.add_argument(
+        "model", type=_model_name, help="network name, e.g. AlexNet or VGG-A"
+    )
     _add_common_options(partition_parser)
     partition_parser.set_defaults(handler=_cmd_partition)
 
@@ -641,7 +680,10 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="simulate MP / DP / HyPar for a set of networks (Figures 6-8)"
     )
     compare_parser.add_argument(
-        "models", nargs="*", help="network names (default: all ten evaluation networks)"
+        "models",
+        nargs="*",
+        type=_model_name,
+        help="network names (default: all ten evaluation networks)",
     )
     compare_parser.add_argument(
         "--include-trick",
@@ -654,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     scalability_parser = subparsers.add_parser(
         "scalability", help="sweep the array size (Figure 11)"
     )
-    scalability_parser.add_argument("--model", default="VGG-A")
+    scalability_parser.add_argument("--model", type=_model_name, default="VGG-A")
     scalability_parser.add_argument(
         "--sizes", default="1,2,4,8,16,32,64", help="comma-separated accelerator counts"
     )
@@ -667,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     topology_parser = subparsers.add_parser(
         "topology", help="compare H-tree and torus interconnects (Figure 12)"
     )
-    topology_parser.add_argument("models", nargs="*")
+    topology_parser.add_argument("models", nargs="*", type=_model_name)
     topology_parser.add_argument(
         "--out", metavar="DIR", help="write the study rows as JSON/CSV artifacts"
     )
@@ -848,14 +890,18 @@ def build_parser() -> argparse.ArgumentParser:
     placement_parser = subparsers.add_parser(
         "placement", help="show per-accelerator tensor shards and memory footprints"
     )
-    placement_parser.add_argument("model", help="network name, e.g. AlexNet or VGG-A")
+    placement_parser.add_argument(
+        "model", type=_model_name, help="network name, e.g. AlexNet or VGG-A"
+    )
     _add_common_options(placement_parser)
     placement_parser.set_defaults(handler=_cmd_placement)
 
     trace_parser = subparsers.add_parser(
         "trace", help="summarise the communication trace of one training step"
     )
-    trace_parser.add_argument("model", help="network name, e.g. AlexNet or VGG-A")
+    trace_parser.add_argument(
+        "model", type=_model_name, help="network name, e.g. AlexNet or VGG-A"
+    )
     _add_common_options(trace_parser)
     trace_parser.set_defaults(handler=_cmd_trace)
 
@@ -865,7 +911,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(--sim-engine network runs the contention-aware discrete-event "
         "simulator)",
     )
-    simulate_parser.add_argument("model", help="network name, e.g. AlexNet or VGG-A")
+    simulate_parser.add_argument(
+        "model", type=_model_name, help="network name, e.g. AlexNet or VGG-A"
+    )
     simulate_parser.add_argument(
         "--strategy",
         choices=("hypar", "dp", "mp"),

@@ -25,142 +25,70 @@ winners only.  The object-based path remains in-tree as the bit-exact
 oracle (``*_reference`` entry points).
 """
 
-from repro.core.baselines import (
-    STRATEGIES,
-    data_parallelism,
-    get_strategy,
-    model_parallelism,
-    one_weird_trick,
-    pipeline_parallelism,
-    random_assignment,
-)
-from repro.core.communication import (
-    PAIR_FACTOR,
-    CommunicationModel,
-    LayerCommunication,
-)
-from repro.core.costs import (
-    CostTable,
-    HierarchicalCostTable,
-    compile_cost_table,
-)
-from repro.core.execution import (
-    CommunicationEvent,
-    PartitionedStepResult,
-    TwoGroupExecutor,
-)
-from repro.core.exhaustive import (
-    SearchSpaceTooLarge,
-    all_layer_assignments,
-    enumerate_restricted,
-    enumerate_restricted_communication,
-    exhaustive_hierarchical,
-    exhaustive_hierarchical_reference,
-    exhaustive_two_way,
-    exhaustive_two_way_reference,
-    restricted_assignment,
-)
-from repro.core.hierarchical import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_NUM_LEVELS,
-    HierarchicalPartitioner,
-)
-from repro.core.parallelism import (
-    DATA,
-    DEFAULT_SPACE,
-    FULL_SPACE,
-    MODEL,
-    PIPELINE,
-    HierarchicalAssignment,
-    LayerAssignment,
-    Parallelism,
-    StrategySpace,
-)
-from repro.core.partitioner import TwoWayPartitioner
-from repro.core.strategies import (
-    StrategySpec,
-    register_strategy,
-    registered_strategies,
-    strategy_spec,
-)
-from repro.core.placement import (
-    AcceleratorFootprint,
-    Interval,
-    LayerShard,
-    TensorPlacement,
-    placement_summary,
-)
-from repro.core.result import HierarchicalResult, LevelResult, PartitionResult
-from repro.core.tensors import (
-    BYTES_PER_ELEMENT,
-    LayerTensors,
-    ScalingMode,
-    TensorScale,
-    descend_scales,
-    elements_to_bytes,
-    initial_scales,
-    layer_tensors,
-    model_tensors,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Parallelism",
-    "DATA",
-    "MODEL",
-    "PIPELINE",
-    "StrategySpace",
-    "DEFAULT_SPACE",
-    "FULL_SPACE",
-    "StrategySpec",
-    "register_strategy",
-    "registered_strategies",
-    "strategy_spec",
-    "LayerAssignment",
-    "HierarchicalAssignment",
-    "CommunicationModel",
-    "LayerCommunication",
-    "PAIR_FACTOR",
-    "BYTES_PER_ELEMENT",
-    "LayerTensors",
-    "TensorScale",
-    "ScalingMode",
-    "layer_tensors",
-    "model_tensors",
-    "descend_scales",
-    "initial_scales",
-    "elements_to_bytes",
-    "TwoWayPartitioner",
-    "HierarchicalPartitioner",
-    "DEFAULT_NUM_LEVELS",
-    "DEFAULT_BATCH_SIZE",
-    "PartitionResult",
-    "LevelResult",
-    "HierarchicalResult",
-    "data_parallelism",
-    "model_parallelism",
-    "one_weird_trick",
-    "pipeline_parallelism",
-    "random_assignment",
-    "get_strategy",
-    "STRATEGIES",
-    "all_layer_assignments",
-    "exhaustive_two_way",
-    "exhaustive_two_way_reference",
-    "exhaustive_hierarchical",
-    "exhaustive_hierarchical_reference",
-    "enumerate_restricted",
-    "enumerate_restricted_communication",
-    "restricted_assignment",
-    "SearchSpaceTooLarge",
-    "CostTable",
-    "HierarchicalCostTable",
-    "compile_cost_table",
-    "TensorPlacement",
-    "LayerShard",
-    "Interval",
-    "AcceleratorFootprint",
-    "placement_summary",
-    "TwoGroupExecutor",
-    "PartitionedStepResult",
-    "CommunicationEvent",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "Parallelism": "parallelism",
+    "DATA": "parallelism",
+    "MODEL": "parallelism",
+    "PIPELINE": "parallelism",
+    "StrategySpace": "parallelism",
+    "DEFAULT_SPACE": "parallelism",
+    "FULL_SPACE": "parallelism",
+    "StrategySpec": "strategies",
+    "register_strategy": "strategies",
+    "registered_strategies": "strategies",
+    "strategy_spec": "strategies",
+    "LayerAssignment": "parallelism",
+    "HierarchicalAssignment": "parallelism",
+    "CommunicationModel": "communication",
+    "LayerCommunication": "communication",
+    "PAIR_FACTOR": "communication",
+    "BYTES_PER_ELEMENT": "tensors",
+    "LayerTensors": "tensors",
+    "TensorScale": "tensors",
+    "ScalingMode": "tensors",
+    "layer_tensors": "tensors",
+    "model_tensors": "tensors",
+    "descend_scales": "tensors",
+    "initial_scales": "tensors",
+    "elements_to_bytes": "tensors",
+    "TwoWayPartitioner": "partitioner",
+    "HierarchicalPartitioner": "hierarchical",
+    "DEFAULT_NUM_LEVELS": "hierarchical",
+    "DEFAULT_BATCH_SIZE": "hierarchical",
+    "PartitionResult": "result",
+    "LevelResult": "result",
+    "HierarchicalResult": "result",
+    "data_parallelism": "baselines",
+    "model_parallelism": "baselines",
+    "one_weird_trick": "baselines",
+    "pipeline_parallelism": "baselines",
+    "random_assignment": "baselines",
+    "get_strategy": "baselines",
+    "STRATEGIES": "baselines",
+    "all_layer_assignments": "exhaustive",
+    "exhaustive_two_way": "exhaustive",
+    "exhaustive_two_way_reference": "exhaustive",
+    "exhaustive_hierarchical": "exhaustive",
+    "exhaustive_hierarchical_reference": "exhaustive",
+    "enumerate_restricted": "exhaustive",
+    "enumerate_restricted_communication": "exhaustive",
+    "restricted_assignment": "exhaustive",
+    "SearchSpaceTooLarge": "exhaustive",
+    "CostTable": "costs",
+    "HierarchicalCostTable": "costs",
+    "compile_cost_table": "costs",
+    "TensorPlacement": "placement",
+    "LayerShard": "placement",
+    "Interval": "placement",
+    "AcceleratorFootprint": "placement",
+    "placement_summary": "placement",
+    "TwoGroupExecutor": "execution",
+    "PartitionedStepResult": "execution",
+    "CommunicationEvent": "execution",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -3,47 +3,29 @@
 The paper connects its sixteen accelerators either with an H tree (a fat
 tree whose per-level bandwidth matches the hierarchical partition's traffic
 pattern) or with a 2-D torus; Section 6.5.1 compares the two.  This package
-provides both, plus routing utilities, on top of networkx graphs.
+provides both, plus routing utilities.  A topology lays out its physical
+links once as a plain adjacency (:meth:`Topology.links`), gives hop counts
+between accelerators in closed form (:meth:`Topology.hops`) and routes
+explicit paths over the adjacency (:meth:`Topology.route`); no graph
+library is involved.
 """
 
-from repro.interconnect.htree import HTreeTopology
-from repro.interconnect.routing import (
-    bisection_bandwidth,
-    link_loads,
-    max_link_load,
-    pairwise_hop_matrix,
-    shortest_path_hops,
-)
-from repro.interconnect.topology import Topology, hierarchical_groups
-from repro.interconnect.torus import TorusTopology
+from repro._exports import lazy_exports
 
-#: Topologies addressable by name from the CLI / experiment drivers.
-TOPOLOGIES = {
-    "h-tree": HTreeTopology,
-    "htree": HTreeTopology,
-    "torus": TorusTopology,
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "Topology": "topology",
+    "HTreeTopology": "htree",
+    "TorusTopology": "torus",
+    "TOPOLOGIES": "registry",
+    "build_topology": "registry",
+    "hierarchical_groups": "topology",
+    "bisection_bandwidth": "routing",
+    "pairwise_hop_matrix": "routing",
+    "shortest_path_hops": "routing",
+    "link_loads": "routing",
+    "max_link_load": "routing",
 }
 
-
-def build_topology(name: str, num_accelerators: int, link_bandwidth_bytes: float) -> Topology:
-    """Instantiate a topology by name (``"h-tree"`` or ``"torus"``)."""
-    normalized = name.strip().lower().replace("_", "-")
-    if normalized not in TOPOLOGIES:
-        known = ", ".join(sorted(set(TOPOLOGIES)))
-        raise KeyError(f"unknown topology {name!r}; known topologies: {known}")
-    return TOPOLOGIES[normalized](num_accelerators, link_bandwidth_bytes)
-
-
-__all__ = [
-    "Topology",
-    "HTreeTopology",
-    "TorusTopology",
-    "TOPOLOGIES",
-    "build_topology",
-    "hierarchical_groups",
-    "bisection_bandwidth",
-    "pairwise_hop_matrix",
-    "shortest_path_hops",
-    "link_loads",
-    "max_link_load",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

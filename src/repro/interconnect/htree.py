@@ -11,9 +11,11 @@ is why the paper prefers it over the torus.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import Iterator
 
-from repro.interconnect.topology import Topology, hierarchical_groups
+import numpy as np
+
+from repro.interconnect.topology import Link, Topology
 
 
 class HTreeTopology(Topology):
@@ -26,32 +28,31 @@ class HTreeTopology(Topology):
 
     name = "h-tree"
 
-    def _build_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        num_leaves = self.num_accelerators
-        graph.add_nodes_from(range(num_leaves), kind="accelerator")
-
-        # Build the binary tree bottom-up.  Leaf links carry the base
-        # bandwidth; every level up doubles the link bandwidth.
-        current_level_nodes: list = list(range(num_leaves))
+    def _lay_links(self) -> Iterator[Link]:
+        # The binary tree bottom-up: leaf links carry the base bandwidth,
+        # and every level up doubles the link bandwidth.
+        current_level_nodes: list = list(range(self.num_accelerators))
         bandwidth = self.link_bandwidth_bytes
         depth = 0
         while len(current_level_nodes) > 1:
             next_level_nodes = []
             for pair_index in range(0, len(current_level_nodes), 2):
                 switch = f"switch_d{depth}_{pair_index // 2}"
-                graph.add_node(switch, kind="switch")
-                graph.add_edge(
-                    current_level_nodes[pair_index], switch, bandwidth=bandwidth
-                )
-                graph.add_edge(
-                    current_level_nodes[pair_index + 1], switch, bandwidth=bandwidth
-                )
+                yield current_level_nodes[pair_index], switch, bandwidth
+                yield current_level_nodes[pair_index + 1], switch, bandwidth
                 next_level_nodes.append(switch)
             current_level_nodes = next_level_nodes
             bandwidth *= 2
             depth += 1
-        return graph
+
+    def hops(self, a, b) -> np.ndarray:
+        """Up to the lowest common switch and back down: ``2 * bit_length(a ^ b)``.
+
+        Leaves ``a`` and ``b`` first share a switch at the depth of the
+        highest bit in which their indices differ.
+        """
+        # frexp's exponent of a positive integer is its bit length (0 for 0).
+        return 2 * np.frexp(np.bitwise_xor(a, b))[1]
 
     def _compute_effective_pair_bandwidth(self, level: int) -> float:
         """Per-boundary bandwidth: doubles for every level above the deepest.
@@ -63,9 +64,3 @@ class HTreeTopology(Topology):
         no contention discount is applied.
         """
         return self.link_bandwidth_bytes * (2 ** (self.num_levels - 1 - level))
-
-    def _compute_average_hops(self, level: int) -> float:
-        """Average hops: up to the common ancestor at depth ``level`` and back down."""
-        pairs = hierarchical_groups(self.num_accelerators, level)
-        left, right = pairs[0]
-        return self._mean_pair_distance(left, right)

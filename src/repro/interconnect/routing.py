@@ -1,23 +1,23 @@
 """Routing helpers shared by the topology models.
 
-These utilities answer structural questions about a topology graph that the
+These utilities answer structural questions about a topology that the
 simulator and the topology studies need: shortest paths between
 accelerators, bisection bandwidth, and link-load estimates when a
-hierarchical traffic pattern is mapped onto a physical graph.
+hierarchical traffic pattern is mapped onto the physical links.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.interconnect.topology import Topology, hierarchical_groups
 
 
 def shortest_path_hops(topology: Topology, source: int, destination: int) -> int:
     """Number of link hops on the shortest path between two accelerators."""
-    return nx.shortest_path_length(topology.graph, source, destination)
+    return int(topology.hops(source, destination))
 
 
 def bisection_bandwidth(topology: Topology) -> float:
@@ -29,12 +29,12 @@ def bisection_bandwidth(topology: Topology) -> float:
 
 def pairwise_hop_matrix(topology: Topology) -> Dict[Tuple[int, int], int]:
     """Hop counts between every ordered pair of accelerators."""
-    lengths = dict(nx.all_pairs_shortest_path_length(topology.graph))
-    accelerators = range(topology.num_accelerators)
+    accelerators = np.arange(topology.num_accelerators)
+    matrix = topology.hops(accelerators[:, None], accelerators[None, :]).tolist()
     return {
-        (a, b): lengths[a][b]
-        for a in accelerators
-        for b in accelerators
+        (a, b): matrix[a][b]
+        for a in range(topology.num_accelerators)
+        for b in range(topology.num_accelerators)
         if a != b
     }
 
@@ -51,8 +51,9 @@ def link_loads(
     members of the two groups) and accumulated per link.  The result lets a
     study check how evenly a topology spreads HyPar's traffic.
     """
-    graph = topology.graph
-    loads: Dict[Tuple, float] = {tuple(sorted(edge, key=str)): 0.0 for edge in graph.edges}
+    loads: Dict[Tuple, float] = {
+        tuple(sorted((u, v), key=str)): 0.0 for u, v, _ in topology.links()
+    }
     for level, traffic in enumerate(traffic_bytes_per_level):
         if traffic < 0:
             raise ValueError("traffic volumes must be non-negative")
@@ -63,7 +64,7 @@ def link_loads(
             per_flow = traffic / num_flows
             for a in left:
                 for b in right:
-                    path = nx.shortest_path(graph, a, b)
+                    path = topology.route(a, b)
                     for u, v in zip(path, path[1:]):
                         key = tuple(sorted((u, v), key=str))
                         loads[key] += per_flow

@@ -13,11 +13,11 @@ The paper observes exactly this (gmean speedup 2.23x on the torus versus
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
-import networkx as nx
+import numpy as np
 
-from repro.interconnect.topology import Topology, hierarchical_groups
+from repro.interconnect.topology import Link, Topology, hierarchical_groups
 
 
 def _grid_dimensions(num_accelerators: int) -> tuple[int, int]:
@@ -60,46 +60,47 @@ class TorusTopology(Topology):
                     "placement must be a permutation of the grid cells "
                     f"0..{num_accelerators - 1}, got {placement!r}"
                 )
+        cells = np.array(self.placement)
+        self._grid_rows = cells // self.cols
+        self._grid_cols = cells % self.cols
 
-    def _position(self, index: int) -> tuple[int, int]:
-        cell = self.placement[index]
-        return cell // self.cols, cell % self.cols
-
-    def _build_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_accelerators), kind="accelerator")
+    def _lay_links(self) -> Iterator[Link]:
         occupant = {cell: index for index, cell in enumerate(self.placement)}
-        for index in range(self.num_accelerators):
-            row, col = self._position(index)
+        for index, cell in enumerate(self.placement):
+            row, col = divmod(cell, self.cols)
             right = occupant[row * self.cols + (col + 1) % self.cols]
             down = occupant[((row + 1) % self.rows) * self.cols + col]
-            # A ring of two nodes would create duplicate edges; Graph
-            # deduplicates them, which is the correct physical model (a
-            # single link, not two).
+            # A ring of two nodes lays its one link from both ends; only the
+            # first counts, which is the correct physical model (a single
+            # link, not two).  A ring of one node has no link at all.
             if right != index:
-                graph.add_edge(index, right, bandwidth=self.link_bandwidth_bytes)
+                yield index, right, self.link_bandwidth_bytes
             if down != index:
-                graph.add_edge(index, down, bandwidth=self.link_bandwidth_bytes)
-        return graph
+                yield index, down, self.link_bandwidth_bytes
 
-    @staticmethod
-    def _mean_over_boundaries(values: Sequence[float]) -> float:
-        # Under the default row-major placement every boundary of a level is
-        # a torus translate of the first, so the values coincide; returning
-        # the common value directly keeps those metrics bit-identical to the
-        # single-boundary computation (no sum/divide rounding).
-        if all(value == values[0] for value in values):
-            return values[0]
-        return sum(values) / len(values)
+    def hops(self, a, b) -> np.ndarray:
+        """Wrap-around Manhattan distance between the two grid cells."""
+        rows = np.abs(self._grid_rows[a] - self._grid_rows[b])
+        cols = np.abs(self._grid_cols[a] - self._grid_cols[b])
+        return np.minimum(rows, self.rows - rows) + np.minimum(cols, self.cols - cols)
 
-    def _boundary_effective_bandwidth(self, left: list[int], right: list[int]) -> float:
-        cut = self._direct_cut_bandwidth(left, right)
-        if cut <= 0:
-            # Degenerate placement with no direct link between the groups:
-            # fall back to the whole-array cut, still discounted by distance.
-            cut = self._cut_bandwidth(left, right)
-        hops = max(1.0, self._mean_pair_distance(left, right))
-        return cut / hops
+    def _direct_cuts(self, level: int) -> list[float]:
+        """Bandwidth of the links joining the two groups of every boundary.
+
+        Only links whose endpoints lie in the two groups count: the rest of
+        the mesh is busy carrying the other boundaries' traffic at the same
+        level.  One pass over the links serves every boundary of the level;
+        each boundary adds its links in link order.
+        """
+        # Two accelerators sit on opposite sides of one boundary exactly
+        # when the highest bit in which their indices differ is the
+        # level's half-group bit.
+        half_bit = self.num_levels - level - 1
+        cuts = [0.0] * (1 << level)
+        for u, v, bandwidth in self.links():
+            if (u ^ v) >> half_bit == 1:
+                cuts[u >> (half_bit + 1)] += bandwidth
+        return cuts
 
     def _compute_effective_pair_bandwidth(self, level: int) -> float:
         """Bandwidth joining the two groups of a boundary, discounted by path length.
@@ -119,18 +120,14 @@ class TorusTopology(Topology):
         links, while on the mesh it zig-zags across shared ones.
         """
         pairs = hierarchical_groups(self.num_accelerators, level)
-        return self._mean_over_boundaries(
-            [self._boundary_effective_bandwidth(left, right) for left, right in pairs]
-        )
-
-    def _compute_average_hops(self, level: int) -> float:
-        """Mean shortest-path hop count between the groups, over all boundaries.
-
-        Every boundary at a level pairs the same number of accelerators, so
-        the unweighted mean over boundaries equals the mean over all
-        exchanged words.
-        """
-        pairs = hierarchical_groups(self.num_accelerators, level)
-        return self._mean_over_boundaries(
-            [self._mean_pair_distance(left, right) for left, right in pairs]
-        )
+        values = []
+        for (left, right), cut, hops in zip(
+            pairs, self._direct_cuts(level), self._boundary_mean_hops(level)
+        ):
+            if cut <= 0:
+                # Degenerate placement with no direct link between the
+                # groups: fall back to the whole-array cut, still discounted
+                # by distance.
+                cut = self._cut_bandwidth(left, right)
+            values.append(cut / max(1.0, hops))
+        return self._mean_over_boundaries(values)

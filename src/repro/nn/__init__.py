@@ -27,74 +27,43 @@ Public API
     / :func:`~repro.nn.model_zoo.all_models` helpers.
 """
 
-from repro.nn.layers import (
-    Activation,
-    ConvLayer,
-    FCLayer,
-    LayerSpec,
-    LayerType,
-    PoolSpec,
-)
-from repro.nn.model import DNNModel, WeightedLayer, build_model
-from repro.nn.model_zoo import (
-    all_model_builders,
-    GRAPH_MODEL_BUILDERS,
-    MODEL_BUILDERS,
-    alexnet,
-    all_graph_models,
-    all_models,
-    cifar_c,
-    get_model,
-    inception_s,
-    lenet_c,
-    resnet_s,
-    sconv,
-    sfc,
-    vgg_a,
-    vgg_b,
-    vgg_c,
-    vgg_d,
-    vgg_e,
-)
-from repro.nn.shapes import (
-    FeatureMapShape,
-    MergeOp,
-    conv_output_shape,
-    merge_shape,
-    pool_output_shape,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Activation",
-    "ConvLayer",
-    "FCLayer",
-    "LayerSpec",
-    "LayerType",
-    "PoolSpec",
-    "DNNModel",
-    "WeightedLayer",
-    "build_model",
-    "FeatureMapShape",
-    "MergeOp",
-    "conv_output_shape",
-    "merge_shape",
-    "pool_output_shape",
-    "MODEL_BUILDERS",
-    "GRAPH_MODEL_BUILDERS",
-    "all_model_builders",
-    "get_model",
-    "all_models",
-    "all_graph_models",
-    "resnet_s",
-    "inception_s",
-    "sfc",
-    "sconv",
-    "lenet_c",
-    "cifar_c",
-    "alexnet",
-    "vgg_a",
-    "vgg_b",
-    "vgg_c",
-    "vgg_d",
-    "vgg_e",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "Activation": "layers",
+    "ConvLayer": "layers",
+    "FCLayer": "layers",
+    "LayerSpec": "layers",
+    "LayerType": "layers",
+    "PoolSpec": "layers",
+    "DNNModel": "model",
+    "WeightedLayer": "model",
+    "build_model": "model",
+    "FeatureMapShape": "shapes",
+    "MergeOp": "shapes",
+    "conv_output_shape": "shapes",
+    "merge_shape": "shapes",
+    "pool_output_shape": "shapes",
+    "MODEL_BUILDERS": "model_zoo",
+    "GRAPH_MODEL_BUILDERS": "model_zoo",
+    "all_model_builders": "model_zoo",
+    "get_model": "model_zoo",
+    "all_models": "model_zoo",
+    "all_graph_models": "model_zoo",
+    "resnet_s": "model_zoo",
+    "inception_s": "model_zoo",
+    "sfc": "model_zoo",
+    "sconv": "model_zoo",
+    "lenet_c": "model_zoo",
+    "cifar_c": "model_zoo",
+    "alexnet": "model_zoo",
+    "vgg_a": "model_zoo",
+    "vgg_b": "model_zoo",
+    "vgg_c": "model_zoo",
+    "vgg_d": "model_zoo",
+    "vgg_e": "model_zoo",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -7,46 +7,28 @@ sweep/service stack (:mod:`~repro.resilience.faults`) to exercise the
 degradation paths.  See the "Resilience layer" section of DESIGN.md.
 """
 
-from repro.resilience.faults import (
-    PRESET_NAMES as FAULT_PRESET_NAMES,
-    FaultInjected,
-    FaultInjector,
-    FaultPlan,
-    faulty_map,
-    faulty_sweep_task,
-)
-from repro.resilience.replan import (
-    POLICIES,
-    ElasticReplanner,
-    MigrationCost,
-    ReplanConfig,
-    ReplanReport,
-    run_replan,
-)
-from repro.resilience.traces import (
-    EVENT_KINDS,
-    PRESET_NAMES as TRACE_PRESET_NAMES,
-    AvailabilityTrace,
-    TraceEvent,
-    synthesize_trace,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AvailabilityTrace",
-    "ElasticReplanner",
-    "EVENT_KINDS",
-    "FAULT_PRESET_NAMES",
-    "FaultInjected",
-    "FaultInjector",
-    "FaultPlan",
-    "MigrationCost",
-    "POLICIES",
-    "ReplanConfig",
-    "ReplanReport",
-    "TRACE_PRESET_NAMES",
-    "TraceEvent",
-    "faulty_map",
-    "faulty_sweep_task",
-    "run_replan",
-    "synthesize_trace",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "AvailabilityTrace": "traces",
+    "ElasticReplanner": "replan",
+    "EVENT_KINDS": "traces",
+    "FAULT_PRESET_NAMES": "faults:PRESET_NAMES",
+    "FaultInjected": "faults",
+    "FaultInjector": "faults",
+    "FaultPlan": "faults",
+    "MigrationCost": "replan",
+    "POLICIES": "replan",
+    "ReplanConfig": "replan",
+    "ReplanReport": "replan",
+    "TRACE_PRESET_NAMES": "traces:PRESET_NAMES",
+    "TraceEvent": "traces",
+    "faulty_map": "faults",
+    "faulty_sweep_task": "faults",
+    "run_replan": "replan",
+    "synthesize_trace": "traces",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

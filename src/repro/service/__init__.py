@@ -21,41 +21,29 @@ cache-key recipe and threading model.  The CLI remains the batch path;
 the service is the low-latency path for repeated traffic.
 """
 
-from repro.service.app import ENDPOINTS, HyParService, RequestError
-from repro.service.cache import DEFAULT_CACHE_SIZE, ResultCache
-from repro.service.client import ServiceClient, ServiceClientError, ServiceResponse
-from repro.service.schemas import (
-    PartitionRequest,
-    ReplanRequest,
-    SchemaError,
-    SimulateRequest,
-    SweepRequest,
-)
-from repro.service.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    ServiceHTTPServer,
-    build_server,
-    serve,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_CACHE_SIZE",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "ENDPOINTS",
-    "HyParService",
-    "PartitionRequest",
-    "ReplanRequest",
-    "RequestError",
-    "ResultCache",
-    "SchemaError",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceHTTPServer",
-    "ServiceResponse",
-    "SimulateRequest",
-    "SweepRequest",
-    "build_server",
-    "serve",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "DEFAULT_CACHE_SIZE": "cache",
+    "DEFAULT_HOST": "server",
+    "DEFAULT_PORT": "server",
+    "ENDPOINTS": "app",
+    "HyParService": "app",
+    "PartitionRequest": "schemas",
+    "ReplanRequest": "schemas",
+    "RequestError": "app",
+    "ResultCache": "cache",
+    "SchemaError": "schemas",
+    "ServiceClient": "client",
+    "ServiceClientError": "client",
+    "ServiceHTTPServer": "server",
+    "ServiceResponse": "client",
+    "SimulateRequest": "schemas",
+    "SweepRequest": "schemas",
+    "build_server": "server",
+    "serve": "server",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

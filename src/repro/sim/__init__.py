@@ -16,46 +16,33 @@
   from a partitioned network (for link-load studies and export).
 """
 
-from repro.sim.api import SimulationResult, SimulationSpec, simulate
-from repro.sim.backend import (
-    SIM_ENGINES,
-    SimulatorBackend,
-    get_backend,
-    validate_sim_engine,
-)
-from repro.sim.engine import (
-    EventDrivenEngine,
-    Resource,
-    Schedule,
-    ScheduledTask,
-    SimulationError,
-    Task,
-)
-from repro.sim.metrics import EnergyBreakdown, PhaseBreakdown, TrainingStepReport
-from repro.sim.trace import CommunicationTrace, TraceBuilder, Transfer
-from repro.sim.training import PHASES, TrainingSimulator, simulate_partitioned
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TraceBuilder",
-    "CommunicationTrace",
-    "Transfer",
-    "EventDrivenEngine",
-    "Resource",
-    "Task",
-    "Schedule",
-    "ScheduledTask",
-    "SimulationError",
-    "TrainingSimulator",
-    "SimulationSpec",
-    "SimulationResult",
-    "simulate",
-    "SIM_ENGINES",
-    "SimulatorBackend",
-    "get_backend",
-    "validate_sim_engine",
-    "simulate_partitioned",
-    "PHASES",
-    "TrainingStepReport",
-    "PhaseBreakdown",
-    "EnergyBreakdown",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "TraceBuilder": "trace",
+    "CommunicationTrace": "trace",
+    "Transfer": "trace",
+    "EventDrivenEngine": "engine",
+    "Resource": "engine",
+    "Task": "engine",
+    "Schedule": "engine",
+    "ScheduledTask": "engine",
+    "SimulationError": "engine",
+    "TrainingSimulator": "training",
+    "SimulationSpec": "api",
+    "SimulationResult": "api",
+    "simulate": "api",
+    "SIM_ENGINES": "backend",
+    "SimulatorBackend": "backend",
+    "get_backend": "backend",
+    "validate_sim_engine": "backend",
+    "simulate_partitioned": "training",
+    "PHASES": "training",
+    "TrainingStepReport": "metrics",
+    "PhaseBreakdown": "metrics",
+    "EnergyBreakdown": "metrics",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

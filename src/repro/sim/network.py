@@ -10,9 +10,9 @@ aggregate link, this engine instantiates the *physical* platform from the
   lock-step across the array, so a compute task occupies every PU for the
   per-accelerator duration -- but communication tasks occupy *links only*,
   which lets the PUs compute while exchanges are in flight;
-* one resource per physical link of ``topology.graph`` (accelerator-switch
-  and accelerator-accelerator edges alike), carrying that link's
-  ``bandwidth`` attribute.
+* one resource per physical link of ``topology.links()``
+  (accelerator-switch and accelerator-accelerator links alike), carrying
+  that link's bandwidth.
 
 A pair boundary's exchange at hierarchy level ``h`` is routed as the
 shortest-path flows between the paired devices (``left[i] <-> right[i]``,
@@ -52,8 +52,6 @@ step time, energy and bytes are the cross-engine comparable quantities.
 from __future__ import annotations
 
 from typing import Sequence
-
-import networkx as nx
 
 from repro.core.parallelism import Parallelism
 from repro.core.strategies import strategy_spec
@@ -102,28 +100,25 @@ def flow_plans(topology: Topology) -> list[list[_PairPlan]]:
     """Routed plans for every boundary, indexed ``[level][pair]`` (cached).
 
     Cached on the topology instance next to its other derived-quantity
-    caches: the graph is immutable, and every simulated step of a sweep
+    caches: the links are immutable, and every simulated step of a sweep
     reuses the same routes.
     """
     plans = getattr(topology, "_network_flow_plans", None)
     if plans is not None:
         return plans
-    graph = topology.graph
+    adjacency = topology.adjacency
     plans = []
     for level in range(topology.num_levels):
         level_plans = []
         for left, right in hierarchical_groups(topology.num_accelerators, level):
             loads: dict[str, list] = {}
             for a, b in zip(left, right):
-                path = nx.shortest_path(graph, a, b)
+                path = topology.route(a, b)
                 for u, v in zip(path, path[1:]):
                     key = link_name(u, v)
                     entry = loads.get(key)
                     if entry is None:
-                        bandwidth = graph.edges[u, v].get(
-                            "bandwidth", topology.link_bandwidth_bytes
-                        )
-                        loads[key] = [bandwidth, 1]
+                        loads[key] = [adjacency[u][v], 1]
                     else:
                         entry[1] += 1
             level_plans.append(

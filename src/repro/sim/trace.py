@@ -112,14 +112,11 @@ class CommunicationTrace:
 
     def link_traffic(self, topology: Topology) -> dict[tuple, float]:
         """Map the trace onto a physical topology: bytes carried per link."""
-        import networkx as nx
-
-        graph = topology.graph
         loads: dict[tuple, float] = {
-            tuple(sorted(edge, key=str)): 0.0 for edge in graph.edges
+            tuple(sorted((u, v), key=str)): 0.0 for u, v, _ in topology.links()
         }
         for transfer in self.transfers:
-            path = nx.shortest_path(graph, transfer.source, transfer.destination)
+            path = topology.route(transfer.source, transfer.destination)
             for u, v in zip(path, path[1:]):
                 key = tuple(sorted((u, v), key=str))
                 loads[key] += transfer.num_bytes

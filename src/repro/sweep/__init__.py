@@ -21,43 +21,34 @@ See the "Sweep orchestration engine" section of DESIGN.md for the design
 notes (spec format, cache keys, worker model).
 """
 
-from repro.sweep.artifacts import rows_to_csv, write_csv, write_json
-from repro.sweep.cache import clear_caches, runtime_cached, shared_table_cache
-from repro.sweep.engine import SweepEngine, chunk_tasks, default_workers, resolve_engine
-from repro.sweep.runner import (
-    DATA_PARALLELISM,
-    HYPAR,
-    MODEL_PARALLELISM,
-    StrategyMetrics,
-    SweepRecord,
-    SweepResult,
-    evaluate_point,
-    run_sweep,
-)
-from repro.sweep.spec import PAPER_MODELS, PRESETS, SweepPoint, SweepSpec, load_spec
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DATA_PARALLELISM",
-    "HYPAR",
-    "MODEL_PARALLELISM",
-    "PAPER_MODELS",
-    "PRESETS",
-    "StrategyMetrics",
-    "SweepEngine",
-    "SweepPoint",
-    "SweepRecord",
-    "SweepResult",
-    "SweepSpec",
-    "chunk_tasks",
-    "clear_caches",
-    "default_workers",
-    "evaluate_point",
-    "load_spec",
-    "resolve_engine",
-    "rows_to_csv",
-    "run_sweep",
-    "runtime_cached",
-    "shared_table_cache",
-    "write_csv",
-    "write_json",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "DATA_PARALLELISM": "runner",
+    "HYPAR": "runner",
+    "MODEL_PARALLELISM": "runner",
+    "PAPER_MODELS": "spec",
+    "PRESETS": "spec",
+    "StrategyMetrics": "runner",
+    "SweepEngine": "engine",
+    "SweepPoint": "spec",
+    "SweepRecord": "runner",
+    "SweepResult": "runner",
+    "SweepSpec": "spec",
+    "chunk_tasks": "engine",
+    "clear_caches": "cache",
+    "default_workers": "engine",
+    "evaluate_point": "runner",
+    "load_spec": "spec",
+    "resolve_engine": "engine",
+    "rows_to_csv": "artifacts",
+    "run_sweep": "runner",
+    "runtime_cached": "cache",
+    "shared_table_cache": "cache",
+    "write_csv": "artifacts",
+    "write_json": "artifacts",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -10,20 +10,18 @@ LINK = 200e6
 class TestStructure:
     def test_switch_count_for_sixteen_leaves(self):
         topology = HTreeTopology(16, LINK)
-        switches = [n for n, d in topology.graph.nodes(data=True) if d.get("kind") == "switch"]
+        switches = [node for node in topology.adjacency if node not in range(16)]
         # A binary tree over 16 leaves has 15 internal nodes.
         assert len(switches) == 15
 
     def test_every_accelerator_is_a_leaf(self):
         topology = HTreeTopology(16, LINK)
         for index in range(16):
-            assert topology.graph.degree[index] == 1
+            assert len(topology.adjacency[index]) == 1
 
     def test_link_bandwidth_doubles_towards_the_root(self):
         topology = HTreeTopology(8, LINK)
-        bandwidths = sorted(
-            {data["bandwidth"] for _, _, data in topology.graph.edges(data=True)}
-        )
+        bandwidths = sorted({bandwidth for _, _, bandwidth in topology.links()})
         assert bandwidths == [LINK, 2 * LINK, 4 * LINK]
 
 

@@ -96,9 +96,36 @@ class TestCommands:
         assert "by phase" in out
         assert "H1" in out
 
-    def test_unknown_model_raises_keyerror(self):
-        with pytest.raises(KeyError):
-            main(["partition", "resnet-50"])
+
+class TestBadInput:
+    """Bad arguments are usage errors naming the argument, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["partition", "nosuch"], "argument model: unknown model 'nosuch'"),
+            (
+                ["partition", "VGG-E", "--accelerators", "3"],
+                "argument --accelerators: num_accelerators must be a power of two, got 3",
+            ),
+            (
+                ["partition", "VGG-E", "--batch-size", "0"],
+                "argument --batch-size: batch_size must be positive, got 0",
+            ),
+        ],
+        ids=["unknown-model", "accelerators-3", "batch-size-0"],
+    )
+    def test_rejected_by_the_parser(self, argv, error, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if "error:" in line] == [lines[-1]]
+        assert lines[-1].startswith(f"hypar partition: error: {error}")
+
+    def test_single_accelerator_still_simulates(self, capsys):
+        assert main(["simulate", "Lenet-c", "--accelerators", "1", "--batch-size", "64"]) == 0
+        assert "1 accelerators" in capsys.readouterr().out
 
 
 class TestSweepCommand:

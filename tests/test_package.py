@@ -1,6 +1,24 @@
 """Tests for the top-level package surface."""
 
+import importlib
+
+import pytest
+
 import repro
+
+#: Every package; each resolves its exports lazily (PEP 562).
+PACKAGES = (
+    "repro",
+    "repro.accelerator",
+    "repro.analysis",
+    "repro.core",
+    "repro.interconnect",
+    "repro.nn",
+    "repro.resilience",
+    "repro.service",
+    "repro.sim",
+    "repro.sweep",
+)
 
 
 class TestPublicApi:
@@ -61,3 +79,15 @@ class TestPublicApi:
             member = getattr(repro, name)
             if callable(member):
                 assert member.__doc__, f"repro.{name} lacks a docstring"
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_lazy_exports_resolve_list_and_reject(name):
+    """Every ``__all__`` name resolves and is listed; an unknown one raises."""
+    package = importlib.import_module(name)
+    listing = dir(package)
+    for export in package.__all__:
+        getattr(package, export)
+        assert export in listing, f"{name}.{export} missing from dir()"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name

@@ -1,0 +1,57 @@
+"""Start-up guards for a cold ``hypar`` process.
+
+Most of a cold command's time is imports, so these tests pin what a fresh
+interpreter loads: the commands run without networkx (a test-only
+oracle), and ``import repro`` loads none of the heavier subpackages.
+Each check runs in a fresh subprocess, since this process has long since
+imported everything.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: The commands the cold-start benchmark times.
+COLD_COMMANDS = (
+    ["partition", "VGG-E"],
+    ["simulate", "VGG-A"],
+    ["simulate", "VGG-A", "--sim-engine", "network", "--topology", "torus"],
+    ["sweep", "smoke"],
+)
+
+#: ``python -m repro`` with networkx made unimportable first.
+WITHOUT_NETWORKX = (
+    "import runpy, sys\n"
+    "sys.modules['networkx'] = None\n"
+    "runpy.run_module('repro', run_name='__main__')\n"
+)
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=True
+    )
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS, ids=" ".join)
+def test_command_runs_without_networkx(argv):
+    blocked = _python("-c", WITHOUT_NETWORKX, *argv)
+    assert blocked.stdout == _python("-m", "repro", *argv).stdout
+
+
+def test_import_repro_loads_no_heavy_subpackage():
+    probe = _python(
+        "-c",
+        "import sys, repro\n"
+        "print(' '.join(name for name in ('repro.analysis', 'repro.service', "
+        "'repro.resilience', 'repro.sweep', 'networkx') if name in sys.modules))",
+    )
+    assert probe.stdout.strip() == ""
