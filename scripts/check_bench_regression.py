@@ -14,8 +14,10 @@ default, overridable with ``--threshold``).  Also re-checks the recorded
 speedup extra-info values against their acceptance floors --
 ``speedup_vs_reference`` >= 20x (the vectorized engine over the object
 path), ``warm_vs_cold_speedup`` >= 10x (the service's warm requests over
-a cold CLI run) and ``deep_dp_speedup`` >= 10x (the memoized chain DP
-over the cold layer loop on the 1024-block transformer) -- so none can
+a cold CLI run), ``deep_dp_speedup`` >= 10x (the memoized chain DP
+over the cold layer loop on the 1024-block transformer) and
+``table_compile_speedup`` >= 5x (the columnar cost-table compile over
+the per-entry one) -- so none can
 silently fall below its bar even if it stays self-consistent between
 runs.
 
@@ -60,6 +62,10 @@ SPEEDUP_FLOORS = {
     "dag_compiled_speedup": 2.0,
     "hier_compiled_speedup": 2.0,
     "hier_parallel_speedup": 2.0,
+    # Columnar HierarchicalCostTable compile vs the per-entry compile it
+    # replaced, on gpt_s-30 at 6 levels
+    # (bench_search_performance.py::test_hierarchical_table_compile).
+    "table_compile_speedup": 5.0,
 }
 
 

@@ -117,8 +117,8 @@ def _batch_size(text: str) -> int:
     return batch_size
 
 
-def _accelerator_count(text: str) -> int:
-    """``type=`` of ``--accelerators``: an array size :class:`ArrayConfig` accepts."""
+def _array_size(text: str) -> int:
+    """``type=`` of ``simulate --accelerators``: any size :class:`ArrayConfig` accepts."""
     count = int(text)
     try:
         ArrayConfig(num_accelerators=count)
@@ -127,7 +127,23 @@ def _accelerator_count(text: str) -> int:
     return count
 
 
-def _add_platform_options(parser: argparse.ArgumentParser) -> None:
+def _accelerator_count(text: str) -> int:
+    """``type=`` of ``--accelerators`` where a partition is searched.
+
+    A single accelerator has no pair to split work across, so these
+    commands need at least two (the service applies the same bound).
+    """
+    count = _array_size(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(
+            f"num_accelerators must be a power of two >= 2, got {count}"
+        )
+    return count
+
+
+def _add_platform_options(
+    parser: argparse.ArgumentParser, accelerator_type=_accelerator_count
+) -> None:
     parser.add_argument(
         "--batch-size",
         type=_batch_size,
@@ -136,10 +152,10 @@ def _add_platform_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--accelerators",
-        type=_accelerator_count,
+        type=accelerator_type,
         default=16,
-        help="number of accelerators in the array; must be a power of two "
-        "(default: %(default)s)",
+        help="number of accelerators in the array; a power of two, at least 2 "
+        "where a partition is searched (default: %(default)s)",
     )
     parser.add_argument(
         "--scaling-mode",
@@ -927,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="htree",
         help="interconnect joining the accelerators (default: %(default)s)",
     )
-    _add_platform_options(simulate_parser)
+    _add_platform_options(simulate_parser, accelerator_type=_array_size)
     _add_sim_engine_option(simulate_parser)
     _add_backend_option(simulate_parser)
     simulate_parser.set_defaults(handler=_cmd_simulate)

@@ -30,17 +30,26 @@ paper's binary dp/mp axis by default):
   weight fraction, so the table stores one cost slice per
   ``(level, halving-state)`` and batched scoring reduces to a gather over
   cumulative per-effect counts.  This is also the scale-descent cache
-  used by the sweeps and the training simulator: the per-level
-  :class:`~repro.core.tensors.LayerTensors` are derived once per model
-  instead of once per candidate.
+  used by the sweeps and the training simulator.  A level compiles in
+  one array pass: the tensor amounts of all layers under all of the
+  level's states are ``(L, S)`` columns, and the strategy-registry
+  callables run on those columns once per strategy code (intra) and per
+  ``(previous, current)`` code pair (inter).  No
+  :class:`~repro.core.tensors.LayerTensors` record is built to compile;
+  a gathered level table holds a lazy view that builds its records only
+  when a breakdown is read.
 
 Bit-exactness
 -------------
 The vectorized paths are required (and property-tested) to agree *bit for
 bit* with the object-based reference path, which remains the oracle:
 
-* table entries are produced by the same :class:`CommunicationModel` calls
-  the object path makes, so the stored floats are identical;
+* table entries are computed with the same multiplications and additions,
+  in the same order, as :func:`~repro.core.tensors.layer_tensors` and the
+  :class:`CommunicationModel` calls the object path makes -- element-wise
+  over the columns -- so the stored floats are identical (the per-entry
+  compile survives as the oracle of
+  ``tests/properties/test_property_table_compile.py``);
 * batched totals accumulate per-layer ``intra + inter`` terms sequentially
   (layer 0, then layer 1, ...), reproducing the exact floating-point
   association of ``sum(record.total_bytes for record in breakdown)``;
@@ -64,6 +73,7 @@ access of ``result.breakdown``.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import warnings
@@ -86,7 +96,6 @@ from repro.core.tensors import (
     LayerTensors,
     ScalingMode,
     TensorScale,
-    layer_tensors,
     model_tensors,
 )
 from repro.nn.model import DNNModel
@@ -222,20 +231,30 @@ def _detect_periodic_region(
         equal = np.all(inter[period:] == inter[:-period], axis=(1, 2)) & np.all(
             intra[1 + period :] == intra[1 : num_layers - period], axis=1
         )
-        # Longest run of consecutive shift-equal transitions.
-        padded = np.concatenate(([False], equal, [False]))
-        changes = np.flatnonzero(padded[1:] != padded[:-1])
-        if changes.size == 0:
-            continue
-        run_starts = changes[::2]
-        run_lengths = changes[1::2] - run_starts
-        longest = int(np.argmax(run_lengths))
-        first = int(run_starts[longest])
-        length = int(run_lengths[longest])
-        # ``equal[j]`` ties transition ``j`` to ``j + period``, so the
-        # periodic region covers ``length + period`` transitions.
-        if (length + period) // period >= 4:
-            return period, first, first + length + period
+        region = _periodic_run(equal, period)
+        if region is not None:
+            return region
+    return None
+
+
+def _periodic_run(equal: np.ndarray, period: int) -> tuple[int, int, int] | None:
+    """``(period, first, stop)`` of the longest run of shift-equal items.
+
+    ``equal[j]`` says item ``j`` matches item ``j + period``; the first of
+    the longest runs wins.  A run of ``length`` ties covers ``length +
+    period`` items, and at least four full periods are required.
+    """
+    padded = np.concatenate(([False], equal, [False]))
+    changes = np.flatnonzero(padded[1:] != padded[:-1])
+    if changes.size == 0:
+        return None
+    run_starts = changes[::2]
+    run_lengths = changes[1::2] - run_starts
+    longest = int(np.argmax(run_lengths))
+    first = int(run_starts[longest])
+    length = int(run_lengths[longest])
+    if (length + period) // period >= 4:
+        return period, first, first + length + period
     return None
 
 
@@ -444,89 +463,273 @@ def _normalize_edges(
     return tuple((int(source), int(destination)) for source, destination in edges)
 
 
+class _Amounts:
+    """Tensor amounts shaped like a :class:`LayerTensors` record, as arrays.
+
+    Carries the attribute names (the error/gradient aliases included) the
+    strategy-registry callables read, so a single call evaluates one
+    Table-1 column or Table-2 transition for a whole block of layers and
+    scale states.
+    """
+
+    __slots__ = ("feature_in", "feature_out", "weight", "macs")
+
+    def __init__(
+        self,
+        feature_in: np.ndarray,
+        feature_out: np.ndarray,
+        weight: np.ndarray,
+        macs: np.ndarray,
+    ) -> None:
+        self.feature_in = feature_in
+        self.feature_out = feature_out
+        self.weight = weight
+        self.macs = macs
+
+    @property
+    def error_in(self) -> np.ndarray:
+        return self.feature_in
+
+    @property
+    def error_out(self) -> np.ndarray:
+        return self.feature_out
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return self.weight
+
+    def rows(self, indices: np.ndarray) -> "_Amounts":
+        """The amounts of the given layers (e.g. every edge's source)."""
+        return _Amounts(
+            self.feature_in[indices],
+            self.feature_out[indices],
+            self.weight[indices],
+            self.macs[indices],
+        )
+
+
+class _TensorColumns(_Amounts):
+    """Tensor amounts of ``L`` layers under ``S`` scale states, column-wise.
+
+    ``feature_in`` / ``feature_out`` / ``weight`` / ``macs`` are ``(L, S)``
+    float64 arrays: entry ``[l, s]`` is the matching :class:`LayerTensors`
+    field of layer ``l`` under scale state ``s``, computed with the same
+    multiplications in the same order as :func:`layer_tensors`, so every
+    entry is bit-identical to the record's float.  ``identities`` holds
+    each row's ``(layer_index, layer_name, is_conv)``.  Records are built
+    on first request and kept per ``(layer, state)``, so every view of one
+    level shares them.
+    """
+
+    __slots__ = ("identities", "_built")
+
+    def __init__(
+        self,
+        identities: tuple[tuple[int, str, bool], ...],
+        feature_in: np.ndarray,
+        feature_out: np.ndarray,
+        weight: np.ndarray,
+        macs: np.ndarray,
+    ) -> None:
+        super().__init__(feature_in, feature_out, weight, macs)
+        self.identities = identities
+        self._built: dict[tuple[int, int], LayerTensors] = {}
+
+    @staticmethod
+    def layer_amounts(layers: Sequence) -> tuple:
+        """``(identities, inputs, outputs, weights, macs)`` of model layers.
+
+        The unscaled per-layer operands of :meth:`of_layers` as ``(L, 1)``
+        float64 columns, read once per table.  The int amounts convert to
+        float exactly as Python's mixed int/float multiplication in
+        :func:`layer_tensors` converts them.
+        """
+        def column(values) -> np.ndarray:
+            return np.array([float(value) for value in values], dtype=np.float64)[:, None]
+
+        return (
+            tuple((layer.index, layer.name, layer.is_conv) for layer in layers),
+            column(layer.input_shape.elements for layer in layers),
+            column(layer.output_shape.elements for layer in layers),
+            column(layer.weight_count for layer in layers),
+            column(layer.macs_per_sample for layer in layers),
+        )
+
+    @classmethod
+    def of_layers(
+        cls,
+        layer_amounts: tuple,
+        batch_size: int,
+        batch_fractions: np.ndarray,
+        weight_fractions: np.ndarray,
+    ) -> "_TensorColumns":
+        """Columns of the layers under per-state ``(S,)`` scale fractions."""
+        identities, inputs, outputs, weights, macs = layer_amounts
+        # ``layer_tensors``: ``batch * fraction`` first, then each amount
+        # left to right.
+        effective_batch = float(batch_size) * batch_fractions
+        return cls(
+            identities,
+            feature_in=effective_batch * inputs,
+            feature_out=effective_batch * outputs * weight_fractions,
+            weight=weights * weight_fractions,
+            macs=effective_batch * macs * weight_fractions,
+        )
+
+    @classmethod
+    def of_records(cls, records: tuple[LayerTensors, ...]) -> "_TensorColumns":
+        """Single-state ``(L, 1)`` columns of existing records.
+
+        :meth:`record` hands the given records back unchanged.
+        """
+        amounts = np.array(
+            [
+                (
+                    float(record.feature_in),
+                    float(record.feature_out),
+                    float(record.weight),
+                    float(record.macs),
+                )
+                for record in records
+            ],
+            dtype=np.float64,
+        )
+        columns = cls(
+            tuple(
+                (record.layer_index, record.layer_name, record.is_conv)
+                for record in records
+            ),
+            feature_in=amounts[:, 0:1],
+            feature_out=amounts[:, 1:2],
+            weight=amounts[:, 2:3],
+            macs=amounts[:, 3:4],
+        )
+        columns._built.update(((layer, 0), record) for layer, record in enumerate(records))
+        return columns
+
+    @property
+    def num_states(self) -> int:
+        return self.feature_in.shape[1]
+
+    def record(self, layer: int, state: int) -> LayerTensors:
+        """The :class:`LayerTensors` record of one layer under one state."""
+        built = self._built.get((layer, state))
+        if built is None:
+            layer_index, layer_name, is_conv = self.identities[layer]
+            built = self._built[layer, state] = LayerTensors(
+                layer_index=layer_index,
+                layer_name=layer_name,
+                is_conv=is_conv,
+                feature_in=float(self.feature_in[layer, state]),
+                feature_out=float(self.feature_out[layer, state]),
+                weight=float(self.weight[layer, state]),
+                macs=float(self.macs[layer, state]),
+            )
+        return built
+
+
+class _LevelRecords(Sequence[LayerTensors]):
+    """Lazy per-layer :class:`LayerTensors` of one level under given states.
+
+    The tensor records a gathered :class:`CostTable` hands to the
+    object-based breakdown.  Searches and simulations never read them, so
+    each is built from the level's columns only when it is read, i.e. when
+    a breakdown is materialized.
+    """
+
+    __slots__ = ("_columns", "_states")
+
+    def __init__(self, columns: _TensorColumns, states: np.ndarray) -> None:
+        self._columns = columns
+        self._states = states
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, index):
+        layers = range(len(self._states))[index]
+        if isinstance(layers, range):
+            return tuple(self[layer] for layer in layers)
+        return self._columns.record(layers, int(self._states[layers]))
+
+
 def _fill_cost_block(
-    records: Sequence[LayerTensors],
-    specs: Sequence,
-    members: Sequence[Parallelism],
+    columns: _TensorColumns,
+    space: StrategySpace,
     communication_model: CommunicationModel,
+    edges: tuple[tuple[int, int], ...],
     intra: np.ndarray | None = None,
     inter: np.ndarray | None = None,
     inter_forward: np.ndarray | None = None,
     inter_backward: np.ndarray | None = None,
-    edges: Sequence[tuple[int, int]] | None = None,
 ) -> None:
-    """Fill ``(L, K)`` intra / ``(E, K, K)`` inter cost blocks in place.
+    """Fill ``(L, S, K)`` intra / ``(E, S, K, K)`` inter cost blocks in place.
 
-    ``edges`` is the canonical edge list the ``inter`` axis is indexed by
-    (``None`` = chain, where edge ``e`` is the boundary ``(e, e + 1)``);
-    the boundary tensor record of an edge is its *source* layer's.
+    ``columns`` holds the tensor amounts of every layer under every scale
+    state; ``edges`` is the canonical edge list the ``inter`` axis is
+    indexed by, and an edge's boundary tensors are its *source* layer's.
 
-    This is the cost-model seam of the table compiler: a *calibrated*
-    model (profiled cost packs, ``is_calibrated``) owns per-entry scaling
-    and latency terms, so every entry is produced by the same byte-level
-    methods the object-based oracle evaluates -- tables and breakdowns
-    agree bit for bit by construction.  For the plain analytic model the
-    registry dispatch is hoisted out of the loops (a 512-layer search
-    compiles thousands of entries), and the arithmetic inlines
-    ``CommunicationModel.intra_layer_bytes`` / ``inter_layer_bytes`` /
-    the directional splits exactly -- same additions and multiplications
-    in the same order -- so the stored floats are identical to the object
-    path's.  This is the single copy of that inlined arithmetic; every
-    table compilation routes through it.
+    This is the cost-model seam of the table compiler.  For the plain
+    analytic model the unchanged strategy-registry callables run on whole
+    ``(L, S)`` / ``(E, S)`` column blocks, once per strategy code (intra)
+    and once per ``(previous, current)`` code pair (inter), and the byte
+    conversion inlines ``CommunicationModel._to_bytes`` -- the same
+    additions and multiplications in the same order as the per-entry
+    object path, applied element-wise, so the stored floats are identical
+    to it (``tests/properties/test_property_table_compile.py`` keeps that
+    per-entry compile as its oracle).  A *calibrated* model (profiled cost
+    packs, ``is_calibrated``) owns per-entry scaling and latency terms, so
+    its entries are produced one by one by the same byte-level methods the
+    object-based oracle evaluates, fed with the records of ``columns`` --
+    tables and breakdowns agree bit for bit by construction.
     """
-    if edges is None:
-        edges = _chain_edges(len(records))
     model = communication_model
+    members = space.members
     if model.is_calibrated:
-        if intra is not None:
-            for index, record in enumerate(records):
-                for code, member in enumerate(members):
-                    intra[index, code] = model.intra_layer_bytes(record, member)
-        for edge_index, (source, _destination) in enumerate(edges):
-            boundary = records[source]
-            for q_code, current in enumerate(members):
-                for p_code, previous in enumerate(members):
-                    if inter is not None:
-                        inter[edge_index, p_code, q_code] = model.inter_layer_bytes(
-                            previous, current, boundary
-                        )
-                    if inter_forward is not None:
-                        inter_forward[edge_index, p_code, q_code] = (
-                            model.inter_layer_forward_bytes(previous, current, boundary)
-                        )
-                    if inter_backward is not None:
-                        inter_backward[edge_index, p_code, q_code] = (
-                            model.inter_layer_backward_bytes(previous, current, boundary)
-                        )
+        for state in range(columns.num_states):
+            records = [columns.record(layer, state) for layer in range(len(columns.identities))]
+            if intra is not None:
+                for index, record in enumerate(records):
+                    for code, member in enumerate(members):
+                        intra[index, state, code] = model.intra_layer_bytes(record, member)
+            for edge_index, (source, _destination) in enumerate(edges):
+                boundary = records[source]
+                for q_code, current in enumerate(members):
+                    for p_code, previous in enumerate(members):
+                        entry = (edge_index, state, p_code, q_code)
+                        if inter is not None:
+                            inter[entry] = model.inter_layer_bytes(previous, current, boundary)
+                        if inter_forward is not None:
+                            inter_forward[entry] = model.inter_layer_forward_bytes(
+                                previous, current, boundary
+                            )
+                        if inter_backward is not None:
+                            inter_backward[entry] = model.inter_layer_backward_bytes(
+                                previous, current, boundary
+                            )
         return
-    bytes_per_element = model.bytes_per_element
-    pair_factor = model.pair_factor
+    specs = [strategy_spec(member) for member in members]
+    # The blocks take element amounts first; the byte conversion below
+    # then applies ``_to_bytes``'s two multiplications to every entry.
     if intra is not None:
-        for index, record in enumerate(records):
-            for code, spec in enumerate(specs):
-                intra[index, code] = (
-                    spec.intra_elements(record) * bytes_per_element * pair_factor
-                )
-    for edge_index, (source, _destination) in enumerate(edges):
-        boundary = records[source]
+        for code, spec in enumerate(specs):
+            intra[:, :, code] = spec.intra_elements(columns)
+    if inter is not None or inter_forward is not None or inter_backward is not None:
+        boundary = columns.rows(np.array([source for source, _ in edges], dtype=np.intp))
         for q_code, spec in enumerate(specs):
-            forward = spec.inter_forward_elements
-            backward = spec.inter_backward_elements
             for p_code, previous in enumerate(members):
+                forward = spec.inter_forward_elements(previous, boundary)
+                backward = spec.inter_backward_elements(previous, boundary)
                 if inter is not None:
-                    inter[edge_index, p_code, q_code] = (
-                        (forward(previous, boundary) + backward(previous, boundary))
-                        * bytes_per_element
-                        * pair_factor
-                    )
+                    inter[:, :, p_code, q_code] = forward + backward
                 if inter_forward is not None:
-                    inter_forward[edge_index, p_code, q_code] = (
-                        forward(previous, boundary) * bytes_per_element * pair_factor
-                    )
+                    inter_forward[:, :, p_code, q_code] = forward
                 if inter_backward is not None:
-                    inter_backward[edge_index, p_code, q_code] = (
-                        backward(previous, boundary) * bytes_per_element * pair_factor
-                    )
+                    inter_backward[:, :, p_code, q_code] = backward
+    for block in (intra, inter, inter_forward, inter_backward):
+        if block is not None:
+            block *= model.bytes_per_element
+            block *= model.pair_factor
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -551,7 +754,9 @@ class CostTable:
     tensors:
         The tensor records the table was compiled from, kept so winning
         candidates can lazily materialize their full breakdown through the
-        object-based reference path.
+        object-based reference path.  Tables gathered from a
+        :class:`HierarchicalCostTable` hold a lazy view that builds the
+        records only when a breakdown is read.
     communication_model:
         The model used to compile the table (and to materialize breakdowns).
     strategies:
@@ -573,7 +778,7 @@ class CostTable:
 
     intra: np.ndarray
     inter: np.ndarray
-    tensors: tuple[LayerTensors, ...]
+    tensors: Sequence[LayerTensors]
     communication_model: CommunicationModel
     strategies: StrategySpace = DEFAULT_SPACE
     edges: tuple[tuple[int, int], ...] | None = None
@@ -592,6 +797,28 @@ class CostTable:
         return self.edges == _chain_edges(self.num_layers)
 
     @functools.cached_property
+    def _edges_by_destination(self) -> tuple[list[int], list[int]]:
+        """Edge indices stably sorted by destination, and their destinations.
+
+        Canonical edge lists are destination-ordered already, so the order
+        is normally the identity; either way the edges into a contiguous
+        destination range are one bisected slice (:meth:`_edges_into`).
+        """
+        order = sorted(range(len(self.edges)), key=lambda e: self.edges[e][1])
+        return order, [self.edges[e][1] for e in order]
+
+    def _edges_into(self, first: int, last: int) -> list[int]:
+        """Indices, in canonical order, of the edges with ``first < dst <= last``."""
+        order, destinations = self._edges_by_destination
+        selected = order[
+            bisect.bisect_right(destinations, first) : bisect.bisect_right(
+                destinations, last
+            )
+        ]
+        selected.sort()  # canonical order; already sorted for canonical lists
+        return selected
+
+    @functools.cached_property
     def _kernel_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(edge_index, source, destination)`` arrays for the DAG kernels.
 
@@ -600,14 +827,12 @@ class CostTable:
         the kernels' per-destination accumulation is bit-exact with the
         NumPy edge loop.
         """
-        order = sorted(range(len(self.edges)), key=lambda e: self.edges[e][1])
+        order, destinations = self._edges_by_destination
         edge_index = np.array(order, dtype=np.int64)
         edge_source = np.array(
             [self.edges[e][0] for e in order], dtype=np.int64
         )
-        edge_destination = np.array(
-            [self.edges[e][1] for e in order], dtype=np.int64
-        )
+        edge_destination = np.array(destinations, dtype=np.int64)
         return edge_index, edge_source, edge_destination
 
     # ------------------------------------------------------------------
@@ -640,14 +865,14 @@ class CostTable:
         inter = np.zeros(
             (len(edge_list), num_strategies, num_strategies), dtype=np.float64
         )
+        # One scale state: fill through ``(L, 1, K)`` / ``(E, 1, K, K)`` views.
         _fill_cost_block(
-            tensors,
-            [strategy_spec(member) for member in space],
-            space.members,
+            _TensorColumns.of_records(tensors),
+            space,
             model,
-            intra=intra,
-            inter=inter,
-            edges=edge_list,
+            edge_list,
+            intra=intra[:, None, :],
+            inter=inter[:, None, :, :],
         )
         return cls(
             intra=intra,
@@ -876,10 +1101,14 @@ class CostTable:
         to the block that contains its destination (the entering cut
         vertex's own incoming edges were settled by the previous block).
         """
+        edges = self.edges
         return [
-            (edge_index, source - block_start, destination - block_start)
-            for edge_index, (source, destination) in enumerate(self.edges)
-            if block_start < destination <= block_end
+            (
+                edge_index,
+                edges[edge_index][0] - block_start,
+                edges[edge_index][1] - block_start,
+            )
+            for edge_index in self._edges_into(block_start, block_end)
         ]
 
     def _detect_periodic_blocks(
@@ -896,49 +1125,34 @@ class CostTable:
         for the steady-state jump.  As in :func:`_detect_periodic_region`
         the longest run wins and at least four full periods are required;
         returns ``None`` otherwise.
+
+        Each block is reduced once to a signature -- its shape plus its
+        cost entries as Python floats, which compare by value exactly like
+        ``np.array_equal`` (``0.0 == -0.0``; a NaN never matches) -- and
+        equal signatures share one integer id, so every period probe is a
+        single vectorized id comparison.
         """
         num_blocks = len(blocks)
-        shapes: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        edge_lists: list[list[int]] = []
-        for block_start, block_end in blocks:
+        signature_ids: dict[tuple, int] = {}
+        ids = np.empty(num_blocks, dtype=np.int64)
+        for position, (block_start, block_end) in enumerate(blocks):
             local_edges = self._block_local_edges(block_start, block_end)
-            shapes.append(
-                (
-                    block_end - block_start,
-                    tuple((source, destination) for _, source, destination in local_edges),
-                )
+            signature = (
+                block_end - block_start,
+                tuple((source, destination) for _, source, destination in local_edges),
+                tuple(self.intra[block_start + 1 : block_end + 1].ravel().tolist()),
+                tuple(
+                    self.inter[[edge_index for edge_index, _, _ in local_edges]]
+                    .ravel()
+                    .tolist()
+                ),
             )
-            edge_lists.append([edge_index for edge_index, _, _ in local_edges])
-
-        def matches(left: int, right: int) -> bool:
-            if shapes[left] != shapes[right]:
-                return False
-            left_start, left_end = blocks[left]
-            right_start, right_end = blocks[right]
-            if not np.array_equal(
-                self.intra[left_start + 1 : left_end + 1],
-                self.intra[right_start + 1 : right_end + 1],
-            ):
-                return False
-            for left_edge, right_edge in zip(edge_lists[left], edge_lists[right]):
-                if not np.array_equal(self.inter[left_edge], self.inter[right_edge]):
-                    return False
-            return True
+            ids[position] = signature_ids.setdefault(signature, len(signature_ids))
 
         for period in range(1, min(_MAX_BLOCK_PERIOD, num_blocks // 4) + 1):
-            best_first = best_length = 0
-            run_start = run_length = 0
-            for position in range(num_blocks - period):
-                if matches(position, position + period):
-                    if run_length == 0:
-                        run_start = position
-                    run_length += 1
-                    if run_length > best_length:
-                        best_first, best_length = run_start, run_length
-                else:
-                    run_length = 0
-            if best_length and (best_length + period) // period >= 4:
-                return period, best_first, best_first + best_length + period
+            region = _periodic_run(ids[period:] == ids[:-period], period)
+            if region is not None:
+                return region
         return None
 
     def _try_periodic_block_jump(
@@ -986,11 +1200,7 @@ class CostTable:
         period_start = blocks[index - period][0]
         period_end = blocks[index - 1][1]
         intra_period = self.intra[period_start + 1 : period_end + 1]
-        edge_indices = [
-            edge_index
-            for edge_index, (_, destination) in enumerate(self.edges)
-            if period_start < destination <= period_end
-        ]
+        edge_indices = self._edges_into(period_start, period_end)
         inter_period = self.inter[edge_indices]
         block_max = max(
             float(np.abs(intra_period).max()),
@@ -1657,6 +1867,8 @@ class HierarchicalCostTable:
     ) -> None:
         if num_levels <= 0:
             raise ValueError(f"num_levels must be positive, got {num_levels}")
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.model = model
         self.batch_size = batch_size
         self.num_levels = num_levels
@@ -1717,8 +1929,8 @@ class HierarchicalCostTable:
         )
 
         # Per level h: the reachable (batch-halvings, weight-halvings) state
-        # list, an index LUT for vectorized gathers, tensors[h][s][l],
-        # intra[h] (L, S, K) and the boundary array (L-1, S, K, K).  The
+        # list, an index LUT for vectorized gathers, the (L, S) tensor
+        # columns, intra[h] (L, S, K) and the edge array (E, S, K, K).  The
         # forward/backward splits of the inter-layer costs are compiled
         # lazily on first :meth:`level_communication` access: only the
         # simulator reads them, and ``_to_bytes(fwd + bwd)`` versus
@@ -1726,17 +1938,15 @@ class HierarchicalCostTable:
         # cannot be derived from the combined array.
         self._states: list[list[tuple[int, int]]] = []
         self._state_lut: list[np.ndarray] = []
-        self._tensors: list[list[tuple[LayerTensors, ...]]] = []
+        self._columns: list[_TensorColumns] = []
         self._intra: list[np.ndarray] = []
         self._inter: list[np.ndarray] = []
         self._inter_forward: list[np.ndarray] | None = None
         self._inter_backward: list[np.ndarray] | None = None
 
-        layers = list(model)
+        layer_amounts = _TensorColumns.layer_amounts(tuple(model))
         num_layers = self.num_layers
         num_strategies = space.size
-        specs = [strategy_spec(member) for member in space]
-        members = space.members
         for level in range(num_levels):
             level_states = self._level_states(level)
             self._states.append(level_states)
@@ -1744,29 +1954,21 @@ class HierarchicalCostTable:
             for index, (b, w) in enumerate(level_states):
                 lut[b, w] = index
             self._state_lut.append(lut)
+            scales = [self._state_scale(level, b, w) for b, w in level_states]
+            columns = _TensorColumns.of_layers(
+                layer_amounts,
+                batch_size,
+                np.array([scale.batch_fraction for scale in scales], dtype=np.float64),
+                np.array([scale.weight_fraction for scale in scales], dtype=np.float64),
+            )
             num_states = len(level_states)
-            level_tensors: list[tuple[LayerTensors, ...]] = []
             intra = np.empty((num_layers, num_states, num_strategies), dtype=np.float64)
             inter = np.zeros(
                 (len(self.edges), num_states, num_strategies, num_strategies),
                 dtype=np.float64,
             )
-            for state, (b, w) in enumerate(level_states):
-                scale = self._state_scale(level, b, w)
-                records = tuple(
-                    layer_tensors(layer, batch_size, scale) for layer in layers
-                )
-                level_tensors.append(records)
-                _fill_cost_block(
-                    records,
-                    specs,
-                    members,
-                    comm,
-                    intra=intra[:, state, :],
-                    inter=inter[:, state, :, :],
-                    edges=self.edges,
-                )
-            self._tensors.append(level_tensors)
+            _fill_cost_block(columns, space, comm, self.edges, intra=intra, inter=inter)
+            self._columns.append(columns)
             self._intra.append(intra)
             self._inter.append(inter)
 
@@ -1774,28 +1976,21 @@ class HierarchicalCostTable:
         """Compile the forward/backward inter-layer splits on first use."""
         if self._inter_forward is not None:
             return
-        comm = self.communication_model
-        space = self.strategies
-        num_strategies = space.size
+        num_strategies = self.strategies.size
         forward: list[np.ndarray] = []
         backward: list[np.ndarray] = []
-        specs = [strategy_spec(member) for member in space]
-        members = space.members
-        for level in range(self.num_levels):
-            num_states = self.num_states(level)
-            shape = (len(self.edges), num_states, num_strategies, num_strategies)
+        for columns in self._columns:
+            shape = (len(self.edges), columns.num_states, num_strategies, num_strategies)
             inter_fwd = np.zeros(shape, dtype=np.float64)
             inter_bwd = np.zeros(shape, dtype=np.float64)
-            for state, records in enumerate(self._tensors[level]):
-                _fill_cost_block(
-                    records,
-                    specs,
-                    members,
-                    comm,
-                    inter_forward=inter_fwd[:, state, :, :],
-                    inter_backward=inter_bwd[:, state, :, :],
-                    edges=self.edges,
-                )
+            _fill_cost_block(
+                columns,
+                self.strategies,
+                self.communication_model,
+                self.edges,
+                inter_forward=inter_fwd,
+                inter_backward=inter_bwd,
+            )
             forward.append(inter_fwd)
             backward.append(inter_bwd)
         self._inter_forward = forward
@@ -1869,12 +2064,13 @@ class HierarchicalCostTable:
 
     def tensors_for_level(
         self, level: int, states: Sequence[int]
-    ) -> tuple[LayerTensors, ...]:
-        """The per-layer tensor records of one level under given state indices."""
-        level_tensors = self._tensors[level]
-        return tuple(
-            level_tensors[state][layer] for layer, state in enumerate(states)
-        )
+    ) -> Sequence[LayerTensors]:
+        """The per-layer tensor records of one level under given state indices.
+
+        A lazy view: the records are built from the level's tensor columns
+        on first read (a breakdown), not when a search gathers its table.
+        """
+        return _LevelRecords(self._columns[level], np.array(states, dtype=np.int64))
 
     def level_cost_table(self, level: int, states: Sequence[int]) -> CostTable:
         """The single-level :class:`CostTable` of one scale-descent outcome.
@@ -1902,7 +2098,7 @@ class HierarchicalCostTable:
         return CostTable(
             intra=intra,
             inter=inter,
-            tensors=self.tensors_for_level(level, states),
+            tensors=self.tensors_for_level(level, state_array),
             communication_model=self.communication_model,
             strategies=self.strategies,
             edges=self.edges,

@@ -40,12 +40,7 @@ import contextlib
 import os
 import threading
 import warnings
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    Executor,
-    ProcessPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, CancelledError, Executor
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.core import kernels
@@ -220,6 +215,10 @@ class SweepEngine:
                 # an engine built before `--backend` was applied still
                 # ships the final choice to its workers.
                 backend = self.backend or kernels.get_default_backend()
+                # Imported here: it loads multiprocessing, which a serial
+                # engine (every cold CLI command) never needs.
+                from concurrent.futures import ProcessPoolExecutor
+
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_worker_init,

@@ -189,6 +189,154 @@ class TestDagRepeatedBlockMemoization:
         assert a.assignment.choices == b.assignment.choices
 
 
+def _block_local_edges_reference(table, block_start, block_end):
+    """The full edge scan ``CostTable._block_local_edges`` replaced."""
+    return [
+        (edge_index, source - block_start, destination - block_start)
+        for edge_index, (source, destination) in enumerate(table.edges)
+        if block_start < destination <= block_end
+    ]
+
+
+def _detect_periodic_blocks_reference(table, blocks):
+    """The pairwise ``np.array_equal`` detector the signature ids replaced."""
+    num_blocks = len(blocks)
+    shapes = []
+    edge_lists = []
+    for block_start, block_end in blocks:
+        local_edges = _block_local_edges_reference(table, block_start, block_end)
+        shapes.append(
+            (
+                block_end - block_start,
+                tuple((source, destination) for _, source, destination in local_edges),
+            )
+        )
+        edge_lists.append([edge_index for edge_index, _, _ in local_edges])
+
+    def matches(left, right):
+        if shapes[left] != shapes[right]:
+            return False
+        left_start, left_end = blocks[left]
+        right_start, right_end = blocks[right]
+        if not np.array_equal(
+            table.intra[left_start + 1 : left_end + 1],
+            table.intra[right_start + 1 : right_end + 1],
+        ):
+            return False
+        for left_edge, right_edge in zip(edge_lists[left], edge_lists[right]):
+            if not np.array_equal(table.inter[left_edge], table.inter[right_edge]):
+                return False
+        return True
+
+    for period in range(1, min(8, num_blocks // 4) + 1):
+        best_first = best_length = 0
+        run_start = run_length = 0
+        for position in range(num_blocks - period):
+            if matches(position, position + period):
+                if run_length == 0:
+                    run_start = position
+                run_length += 1
+                if run_length > best_length:
+                    best_first, best_length = run_start, run_length
+            else:
+                run_length = 0
+        if best_length and (best_length + period) // period >= 4:
+            return period, best_first, best_first + best_length + period
+    return None
+
+
+@st.composite
+def perturbed_periodic_tables(draw):
+    """A periodic residual table with a few entries rewritten.
+
+    Rewrites break periodicity (new values), keep it (``-0.0`` for
+    ``0.0`` compares equal) or poison it (a NaN never matches), so the
+    detector's value-equality semantics are exercised, not just its
+    happy path.
+    """
+    tensors, edges = draw(periodic_residual_tables(min_repeats=4, max_repeats=16))
+    table = CostTable.from_tensors(tensors, edges=edges)
+    intra = table.intra.copy()
+    inter = table.inter.copy()
+    for _ in range(draw(st.integers(min_value=0, max_value=3), label="rewrites")):
+        target = draw(st.sampled_from(["intra", "inter"]), label="target")
+        array = intra if target == "intra" else inter
+        flat = array.reshape(-1)
+        position = draw(st.integers(min_value=0, max_value=flat.size - 1), label="at")
+        flat[position] = draw(
+            st.sampled_from([-0.0, float("nan"), 1.0, flat[position]]), label="value"
+        )
+    return CostTable(
+        intra=intra,
+        inter=inter,
+        tensors=table.tensors,
+        communication_model=table.communication_model,
+        edges=table.edges,
+    )
+
+
+class TestDagDetectorMatchesReference:
+    """Bucketed edges and signature ids reproduce the scanning detector."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=perturbed_periodic_tables())
+    def test_detector_and_block_edges_match_the_reference(self, table):
+        cuts = table.cut_vertices()
+        blocks = list(zip(cuts, cuts[1:]))
+        for block_start, block_end in blocks:
+            assert table._block_local_edges(
+                block_start, block_end
+            ) == _block_local_edges_reference(table, block_start, block_end)
+        assert table._detect_periodic_blocks(
+            blocks
+        ) == _detect_periodic_blocks_reference(table, blocks)
+
+    @settings(max_examples=30, deadline=None)
+    @given(table=periodic_residual_tables(min_repeats=16, max_repeats=40))
+    def test_jump_statistics_and_result_are_unchanged(self, table):
+        tensors, edges = table
+        cost_table = CostTable.from_tensors(tensors, edges=edges)
+        assert _memoized_solve(cost_table) == _memoized_solve(cost_table, reference=True)
+
+    def test_gpt_r_jump_is_unchanged(self):
+        cost_table = CostTable.compile(gpt_r(30), 256)
+        cuts = cost_table.cut_vertices()
+        blocks = list(zip(cuts, cuts[1:]))
+        assert cost_table._detect_periodic_blocks(
+            blocks
+        ) == _detect_periodic_blocks_reference(cost_table, blocks)
+        fast = _memoized_solve(cost_table)
+        assert fast[2]["jumps"] == 1
+        assert fast == _memoized_solve(cost_table, reference=True)
+
+
+def _memoized_solve(cost_table, reference=False):
+    """``(bytes, choices, DAG_JUMP_STATS delta)`` of one memoized DAG solve.
+
+    With ``reference`` the solve runs on the scanning edge lookups and
+    the pairwise detector instead of the bucketed ones.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if reference:
+            patch.setattr(CostTable, "_block_local_edges", _block_local_edges_reference)
+            patch.setattr(
+                CostTable, "_detect_periodic_blocks", _detect_periodic_blocks_reference
+            )
+            patch.setattr(
+                CostTable,
+                "_edges_into",
+                lambda self, first, last: [
+                    edge_index
+                    for edge_index, (_, destination) in enumerate(self.edges)
+                    if first < destination <= last
+                ],
+            )
+        before = dict(DAG_JUMP_STATS)
+        result = cost_table.dp_partition()
+        delta = {key: DAG_JUMP_STATS[key] - before[key] for key in before}
+    return result.communication_bytes, result.assignment.choices, delta
+
+
 class TestCompiledHierarchicalScorers:
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
     @pytest.mark.parametrize("builder", [lenet_c, resnet_s])

@@ -1,5 +1,6 @@
 """Tests for the sweep engine: deterministic chunking and serial/parallel parity."""
 
+import concurrent.futures
 import multiprocessing
 import os
 import threading
@@ -228,7 +229,9 @@ class TestBackendPropagation:
     @pytest.fixture(autouse=True)
     def _fresh_recorder(self, monkeypatch):
         monkeypatch.setattr(_RecordingExecutor, "created", [])
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _RecordingExecutor)
+        # The engine imports ProcessPoolExecutor where it creates the pool,
+        # so the stand-in replaces it in concurrent.futures itself.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
 
     def test_explicit_backend_ships_via_the_pool_initializer(self):
         engine = SweepEngine(workers=2, backend="compiled")

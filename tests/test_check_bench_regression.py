@@ -120,6 +120,16 @@ class TestComparison:
         )
         assert script.main([baseline, current]) == 1
 
+    def test_table_compile_floor_enforced(self, script, tmp_path, capsys):
+        baseline = _write(
+            tmp_path / "baseline.json", [_bench("compile", 1.0, table_compile_speedup=40.0)]
+        )
+        current = _write(
+            tmp_path / "current.json", [_bench("compile", 1.0, table_compile_speedup=4.0)]
+        )
+        assert script.main([baseline, current]) == 1
+        assert "table_compile_speedup fell to 4.0x (floor 5x)" in capsys.readouterr().out
+
     def test_dropping_a_recorded_speedup_key_fails(self, script, tmp_path, capsys):
         baseline = _write(
             tmp_path / "baseline.json", [_bench("svc", 1.0, warm_vs_cold_speedup=1500.0)]

@@ -112,8 +112,25 @@ class TestBadInput:
                 ["partition", "VGG-E", "--batch-size", "0"],
                 "argument --batch-size: batch_size must be positive, got 0",
             ),
+        ]
+        + [
+            (
+                [command, "VGG-E", "--accelerators", "1"],
+                "argument --accelerators: num_accelerators must be a power "
+                "of two >= 2, got 1",
+            )
+            for command in ("partition", "compare", "placement", "trace", "topology")
         ],
-        ids=["unknown-model", "accelerators-3", "batch-size-0"],
+        ids=[
+            "unknown-model",
+            "accelerators-3",
+            "batch-size-0",
+            "partition-accelerators-1",
+            "compare-accelerators-1",
+            "placement-accelerators-1",
+            "trace-accelerators-1",
+            "topology-accelerators-1",
+        ],
     )
     def test_rejected_by_the_parser(self, argv, error, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -121,7 +138,7 @@ class TestBadInput:
         assert exit_info.value.code == 2
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if "error:" in line] == [lines[-1]]
-        assert lines[-1].startswith(f"hypar partition: error: {error}")
+        assert lines[-1].startswith(f"hypar {argv[0]}: error: {error}")
 
     def test_single_accelerator_still_simulates(self, capsys):
         assert main(["simulate", "Lenet-c", "--accelerators", "1", "--batch-size", "64"]) == 0

@@ -2,7 +2,8 @@
 
 Most of a cold command's time is imports, so these tests pin what a fresh
 interpreter loads: the commands run without networkx (a test-only
-oracle), and ``import repro`` loads none of the heavier subpackages.
+oracle), serial commands load no process-pool machinery, and ``import
+repro`` loads none of the heavier subpackages.
 Each check runs in a fresh subprocess, since this process has long since
 imported everything.
 """
@@ -34,6 +35,19 @@ WITHOUT_NETWORKX = (
 )
 
 
+#: ``python -m repro`` that then prints which process-pool modules loaded.
+POOL_PROBE = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('repro', run_name='__main__')\n"
+    "except SystemExit as stop:\n"
+    "    if stop.code:\n"
+    "        raise\n"
+    "print('POOL', ' '.join(name for name in "
+    "('concurrent.futures.process', 'multiprocessing') if name in sys.modules))\n"
+)
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
     return subprocess.run(
@@ -55,3 +69,9 @@ def test_import_repro_loads_no_heavy_subpackage():
         "'repro.resilience', 'repro.sweep', 'networkx') if name in sys.modules))",
     )
     assert probe.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("argv", [["partition", "VGG-E"], ["sweep", "smoke"]], ids=" ".join)
+def test_serial_command_loads_no_process_pool(argv):
+    probe = _python("-c", POOL_PROBE, *argv)
+    assert probe.stdout.splitlines()[-1].split() == ["POOL"]
