@@ -49,7 +49,6 @@ _EXPORTS = {
     "SimulationSpec": "sim",
     "SimulationResult": "sim",
     "simulate": "sim",
-    "simulate_partitioned": "sim",
     "ExperimentRunner": "analysis",
 }
 

@@ -59,10 +59,9 @@ bit* with the object-based reference path, which remains the oracle:
   resolve ties to the lowest digit-pattern, matching the enumeration order
   of the reference brute force.
 
-For the default dp/mp space the base-2 digit encoding *is* the historical
-bit encoding, so ``score_bits`` / ``from_bits`` callers see byte-identical
-results; those entry points are kept as thin deprecated shims over
-``score_codes`` / ``from_codes``.
+For the default dp/mp space the base-2 digit encoding *is* the bit
+encoding of the Figures 9/10 exploration (layer 0 in the least significant
+digit, 0 = dp, 1 = mp).
 
 Breakdown objects are *lazy*: batch scorers return raw totals and only the
 winning candidates are materialized into
@@ -76,7 +75,6 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
-import warnings
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -404,21 +402,6 @@ def _chain_dp_run(
                 break
     advance(intra, inter, parents, frontiers, cursor, num_layers)
     return frontiers[num_layers - 1], jumped_layers
-
-
-def _warn_bits_shim(old: str, new: str) -> None:
-    """Deprecation warning shared by the historical K=2 bit-encoding shims.
-
-    ``stacklevel=3`` points the warning at the shim's *caller* (helper →
-    shim → caller), matching the ``stacklevel=2`` a direct ``warnings.warn``
-    inside the shim would use.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} (bit-exact for the default "
-        "dp/mp space)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _sequential_row_sum(per_layer: np.ndarray) -> np.ndarray:
@@ -1445,15 +1428,6 @@ class CostTable:
             totals[start : start + chunk.shape[0]] = self._score_chunk(chunk)
         return totals
 
-    def score_bits(self, bits: np.ndarray | Sequence[int]) -> np.ndarray:
-        """Deprecated shim: the historical name of :meth:`score_codes`.
-
-        For the default dp/mp space the base-2 digit encoding is the bit
-        encoding, so the two are interchangeable (and bit-exact).
-        """
-        _warn_bits_shim("CostTable.score_bits", "CostTable.score_codes")
-        return self.score_codes(bits)
-
     def _score_chunk(self, codes: np.ndarray) -> np.ndarray:
         return self._score_decoded(
             _decode_digits(codes, self.num_layers, self.num_strategies)
@@ -1525,11 +1499,6 @@ class CostTable:
         for start in range(0, self.num_assignments, chunk_size):
             stop = min(start + chunk_size, self.num_assignments)
             yield np.arange(start, stop, dtype=np.int64)
-
-    def iter_all_bits(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[np.ndarray]:
-        """Deprecated shim: the historical name of :meth:`iter_all_codes`."""
-        _warn_bits_shim("CostTable.iter_all_bits", "CostTable.iter_all_codes")
-        return self.iter_all_codes(chunk_size)
 
     def argmin_assignment(
         self,
@@ -1680,11 +1649,6 @@ class CostTable:
         )
         total = float(self.score_codes(np.array([codes], dtype=np.int64))[0])
         return self.lazy_result(assignment, total)
-
-    def result_for_bits(self, codes: int) -> PartitionResult:
-        """Deprecated shim: the historical name of :meth:`result_for_codes`."""
-        _warn_bits_shim("CostTable.result_for_bits", "CostTable.result_for_codes")
-        return self.result_for_codes(codes)
 
     def _check_assignment(self, assignment: LayerAssignment) -> None:
         if assignment.num_layers != self.num_layers:
@@ -2119,11 +2083,6 @@ class HierarchicalCostTable:
         return self.num_levels * self.num_layers
 
     @property
-    def total_bits(self) -> int:
-        """Deprecated alias of :attr:`total_digits` (binary-space name)."""
-        return self.total_digits
-
-    @property
     def num_assignments(self) -> int:
         """Size of the full hierarchical space (``K**(H*L)``)."""
         return self.strategies.size ** self.total_digits
@@ -2163,13 +2122,6 @@ class HierarchicalCostTable:
             totals[start : start + chunk.shape[0]] = self._score_chunk(chunk)
         return totals
 
-    def score_bits(self, bits: np.ndarray | Sequence[int]) -> np.ndarray:
-        """Deprecated shim: the historical name of :meth:`score_codes`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.score_bits", "HierarchicalCostTable.score_codes"
-        )
-        return self.score_codes(bits)
-
     def decode_level_codes(self, codes: np.ndarray) -> list[np.ndarray]:
         """Per-level strategy-code matrices ``(N, L)`` for a batch of candidates."""
         num_layers = self.num_layers
@@ -2189,14 +2141,6 @@ class HierarchicalCostTable:
             ) % level_space
             decoded.append(_decode_digits(level_codes, num_layers, base))
         return decoded
-
-    def decode_level_bits(self, codes: np.ndarray) -> list[np.ndarray]:
-        """Deprecated shim: the historical name of :meth:`decode_level_codes`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.decode_level_bits",
-            "HierarchicalCostTable.decode_level_codes",
-        )
-        return self.decode_level_codes(codes)
 
     def _score_chunk(self, codes: np.ndarray) -> np.ndarray:
         return self.score_level_codes(self.decode_level_codes(codes))
@@ -2299,14 +2243,6 @@ class HierarchicalCostTable:
                     batch_counts = batch_counts + self._batch_effect[level_codes]
         return totals
 
-    def score_level_bits(self, decoded: Sequence[np.ndarray]) -> np.ndarray:
-        """Deprecated shim: the historical name of :meth:`score_level_codes`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.score_level_bits",
-            "HierarchicalCostTable.score_level_codes",
-        )
-        return self.score_level_codes(decoded)
-
     def argmin_assignment(self, *, chunk_size: int | None = None) -> tuple[int, float]:
         """First minimum over the full ``K**(H*L)`` space, in product order."""
         space = self.num_assignments
@@ -2351,22 +2287,6 @@ class HierarchicalCostTable:
             )
         levels.reverse()
         return HierarchicalAssignment(tuple(levels))
-
-    def assignment_to_bits(self, assignment: HierarchicalAssignment) -> int:
-        """Deprecated shim: the historical name of :meth:`assignment_to_codes`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.assignment_to_bits",
-            "HierarchicalCostTable.assignment_to_codes",
-        )
-        return self.assignment_to_codes(assignment)
-
-    def bits_to_assignment(self, codes: int) -> HierarchicalAssignment:
-        """Deprecated shim: the historical name of :meth:`codes_to_assignment`."""
-        _warn_bits_shim(
-            "HierarchicalCostTable.bits_to_assignment",
-            "HierarchicalCostTable.codes_to_assignment",
-        )
-        return self.codes_to_assignment(codes)
 
     def total_bytes(self, assignment: HierarchicalAssignment) -> float:
         """Total traffic of one hierarchical assignment (fast path)."""
@@ -2590,9 +2510,8 @@ class TableCache:
             return table
         self.misses += 1
         if len(self._tables) >= self._limit:
-            # Simple full flush, like the simulator's historical id-keyed
-            # cache: sweeps revisit configurations in grid order, so an
-            # LRU would only help adversarial access patterns.
+            # Simple full flush: sweeps revisit configurations in grid
+            # order, so an LRU would only help adversarial access patterns.
             self.evictions += len(self._tables)
             self._tables.clear()
         table = HierarchicalCostTable(

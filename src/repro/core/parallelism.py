@@ -15,9 +15,8 @@ encoded as base-``K`` digit patterns over that space
 (:meth:`LayerAssignment.from_codes` / :meth:`LayerAssignment.to_codes`),
 and every search, sweep and cost table is parameterized by the space.  The
 default space is the paper's ``(dp, mp)``, for which the base-2 digit
-encoding coincides bit for bit with the historical ``from_bits``/``to_bits``
-encoding of Figures 9 and 10 (kept as thin deprecated shims).  The first
-strategy beyond the paper is per-layer *pipeline* parallelism
+encoding is the bit encoding of Figures 9 and 10.  The first strategy
+beyond the paper is per-layer *pipeline* parallelism
 (``Parallelism.PIPELINE``); the per-strategy cost contributions live in
 :mod:`repro.core.strategies`.
 """
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 from typing import Iterable, Iterator, Sequence
 
 
@@ -64,33 +62,6 @@ class Parallelism(enum.Enum):
     def short(self) -> str:
         """Two-letter abbreviation used in the figures (``dp``/``mp``/``pp``)."""
         return self.value
-
-    @property
-    def bit(self) -> int:
-        """Bit encoding used by the exploration figures: 0 = dp, 1 = mp.
-
-        .. deprecated:: PR 2
-            Only meaningful for the binary dp/mp space; use
-            :meth:`StrategySpace.code_of` for general spaces.
-        """
-        if self is Parallelism.PIPELINE:
-            raise ValueError(
-                "Parallelism.PIPELINE has no dp/mp bit encoding; "
-                "use StrategySpace.code_of"
-            )
-        return 0 if self is Parallelism.DATA else 1
-
-    @classmethod
-    def from_bit(cls, bit: int) -> "Parallelism":
-        """Inverse of :attr:`bit` (0 → dp, 1 → mp).
-
-        .. deprecated:: PR 2
-            Only meaningful for the binary dp/mp space; use
-            :meth:`StrategySpace.member` for general spaces.
-        """
-        if bit not in (0, 1):
-            raise ValueError(f"parallelism bit must be 0 or 1, got {bit!r}")
-        return cls.DATA if bit == 0 else cls.MODEL
 
     @classmethod
     def parse(cls, text: str) -> "Parallelism":
@@ -218,7 +189,7 @@ class LayerAssignment:
 
     @classmethod
     def of(cls, choices: Iterable[Parallelism | str | int]) -> "LayerAssignment":
-        """Build an assignment from parallelism values, strings or bits."""
+        """Build an assignment from parallelism values, strings or integer codes."""
         parsed: list[Parallelism] = []
         for choice in choices:
             if isinstance(choice, Parallelism):
@@ -249,9 +220,8 @@ class LayerAssignment:
         """Decode a base-``K`` digit pattern (least-significant digit =
         layer 0) into an assignment over ``strategies``.
 
-        For the default binary dp/mp space this is exactly the historical
-        bit encoding of the Figures 9/10 exploration (``0`` = dp,
-        ``1`` = mp).
+        For the default binary dp/mp space this is exactly the bit
+        encoding of the Figures 9/10 exploration (``0`` = dp, ``1`` = mp).
         """
         space = StrategySpace.parse(strategies)
         if num_layers <= 0:
@@ -278,39 +248,6 @@ class LayerAssignment:
         for choice in reversed(self.choices):
             value = value * space.size + space.code_of(choice)
         return value
-
-    @classmethod
-    def from_bits(cls, bits: int, num_layers: int) -> "LayerAssignment":
-        """Decode an integer bit-pattern (LSB = layer 0) into an assignment.
-
-        .. deprecated:: PR 2
-            Thin shim over :meth:`from_codes` with the default binary
-            dp/mp space; the two are bit-exact for that space.
-        """
-        warnings.warn(
-            "LayerAssignment.from_bits is deprecated; use "
-            "LayerAssignment.from_codes with the default dp/mp space "
-            "(bit-exact for that space)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls.from_codes(bits, num_layers, DEFAULT_SPACE)
-
-    def to_bits(self) -> int:
-        """Inverse of :meth:`from_bits`.
-
-        .. deprecated:: PR 2
-            Thin shim over :meth:`to_codes` with the default binary dp/mp
-            space.
-        """
-        warnings.warn(
-            "LayerAssignment.to_bits is deprecated; use "
-            "LayerAssignment.to_codes with the default dp/mp space "
-            "(bit-exact for that space)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.to_codes(DEFAULT_SPACE)
 
     def __iter__(self) -> Iterator[Parallelism]:
         return iter(self.choices)

@@ -4,13 +4,15 @@
   (resources, dependent tasks, event queue).
 * :mod:`repro.sim.api` -- the unified entry point: :func:`simulate` over a
   :class:`SimulationSpec`, with keyword-only engine selection.
-* :mod:`repro.sim.backend` -- the ``SimulatorBackend`` seam and engine
-  registry (``"analytic"`` / ``"network"``).
+* :mod:`repro.sim.backend` -- the engine names (``"analytic"`` /
+  ``"network"``) and their validation.
 * :mod:`repro.sim.training` -- builds the task graph of one training step
   (forward, error backward, gradient computation, weight update, and every
-  tensor exchange dictated by the communication model) and runs it.
-* :mod:`repro.sim.network` -- the contention-aware discrete-event engine:
-  per-device PUs and per-physical-link resources with real queueing.
+  tensor exchange dictated by the communication model) on either engine's
+  fabric and runs it.
+* :mod:`repro.sim.network` -- the routed flow plans behind the
+  contention-aware engine: per-device PUs and per-physical-link resources
+  with real queueing.
 * :mod:`repro.sim.metrics` -- the report records (time, energy, traffic).
 * :mod:`repro.sim.trace` -- explicit point-to-point transfer lists derived
   from a partitioned network (for link-load studies and export).
@@ -34,10 +36,7 @@ _EXPORTS = {
     "SimulationResult": "api",
     "simulate": "api",
     "SIM_ENGINES": "backend",
-    "SimulatorBackend": "backend",
-    "get_backend": "backend",
     "validate_sim_engine": "backend",
-    "simulate_partitioned": "training",
     "PHASES": "training",
     "TrainingStepReport": "metrics",
     "PhaseBreakdown": "metrics",

@@ -1,10 +1,8 @@
-"""The redesigned simulation entry point: one spec, one call, two engines.
+"""The simulation entry point: one spec, one call, two engines.
 
-Historically the package had two diverging entry points -- the
-:class:`~repro.sim.training.TrainingSimulator` method (platform via the
-constructor, assignment required) and the module-level
-``simulate_partitioned`` helper (platform via positional arguments, search
-implied).  This module unifies them:
+:class:`~repro.sim.training.TrainingSimulator` takes its platform in the
+constructor and simulates a given assignment.  This module wraps it in one
+call that can also search the assignment:
 
 * :class:`SimulationSpec` -- one frozen record naming the platform and the
   engine (batch size, array, topology, scaling mode, strategy space,
@@ -16,9 +14,6 @@ implied).  This module unifies them:
   (``sim_engine="analytic" | "network"``, see :mod:`repro.sim.backend`);
 * :class:`SimulationResult` -- the report, the (searched or given)
   assignment, the engine that produced it, and the raw schedule.
-
-The old signatures survive as thin ``DeprecationWarning`` shims
-(``simulate_partitioned``) that delegate here bit-exactly.
 """
 
 from __future__ import annotations
@@ -109,7 +104,8 @@ def simulate(
     With ``assignment=None`` on a multi-accelerator array, HyPar's
     hierarchical search runs first and the searched assignment is
     simulated (and returned); the search and the simulation share one
-    compiled cost table.  An explicit ``assignment`` is simulated as-is.
+    compiled cost table -- ``cost_table`` when given, which must match the
+    platform either way.  An explicit ``assignment`` is simulated as-is.
 
     ``sim_engine`` (keyword-only) overrides the spec's engine for this
     call.  ``simulator`` optionally reuses an existing
@@ -125,32 +121,28 @@ def simulate(
     sim = simulator if simulator is not None else spec.build_simulator()
 
     if assignment is None and sim.array.num_levels > 0:
+        if cost_table is None:
+            cost_table = sim.cost_table(model, spec.batch_size)
         partitioner = HierarchicalPartitioner(
             num_levels=sim.array.num_levels,
             communication_model=sim.communication_model,
             scaling_mode=sim.scaling_mode,
             strategies=sim.strategies,
         )
-        table = sim.cost_table(model, spec.batch_size)
-        searched = partitioner.partition(model, spec.batch_size, table=table)
-        assignment = searched.assignment
-        report = sim.simulate(
-            model,
-            assignment,
-            spec.batch_size,
-            strategy_name or "HyPar",
-            cost_table=table,
-            sim_engine=engine,
-        )
-    else:
-        report = sim.simulate(
-            model,
-            assignment,
-            spec.batch_size,
-            strategy_name or "custom",
-            cost_table=cost_table,
-            sim_engine=engine,
-        )
+        # The partitioner checks a supplied table against the platform
+        # before it searches, raising the simulator's compatibility error.
+        assignment = partitioner.partition(
+            model, spec.batch_size, table=cost_table
+        ).assignment
+        strategy_name = strategy_name or "HyPar"
+    report = sim.simulate(
+        model,
+        assignment,
+        spec.batch_size,
+        strategy_name or "custom",
+        cost_table=cost_table,
+        sim_engine=engine,
+    )
     return SimulationResult(
         report=report,
         assignment=assignment,

@@ -1,36 +1,24 @@
-"""The simulator-backend seam behind the redesigned ``simulate()`` API.
+"""The simulation-engine names shared by every surface that spells one.
 
-Two engines produce a :class:`~repro.sim.metrics.TrainingStepReport` from
-the same compiled per-level communication records:
+Two engines simulate a training step from the same compiled per-level
+communication records, through one task-graph builder
+(:class:`~repro.sim.training.TrainingSimulator`) that differs only in its
+*fabric*, the mapping of tasks onto resources:
 
-* ``"analytic"`` -- the historical aggregate model
-  (:mod:`repro.sim.training`): all compute serializes on one array-wide PU
-  resource and each hierarchy level is one aggregate link resource, so the
-  step time is a closed-form chain with no intra-level contention.
-* ``"network"`` -- the contention-aware discrete-event model
-  (:mod:`repro.sim.network`): per-device PU resources and per-physical-link
-  resources instantiated from the :class:`~repro.interconnect.Topology`
-  graph, with real link occupancy/queueing and compute/communication
-  overlap.
+* ``"analytic"`` -- the aggregate model: all compute serializes on one
+  array-wide PU resource and each hierarchy level is one aggregate link
+  resource, so the step time is a closed-form chain with no intra-level
+  contention.
+* ``"network"`` -- the contention-aware model (:mod:`repro.sim.network`):
+  per-device PU resources and per-physical-link resources instantiated
+  from the :class:`~repro.interconnect.Topology`, with real link
+  occupancy/queueing and compute/communication overlap.
 
-Both engines share everything outside the task graph -- cost-table
-compilation, the :class:`~repro.core.costs.TableCache`, energy accounting
-and report assembly -- so a backend is just "build the step's task graph
-and run it": the :class:`SimulatorBackend` protocol below.  Backends are
-stateless singletons resolved lazily by :func:`get_backend` (lazy so the
-registry stays import-cycle-free: ``training`` imports this module for
-validation, and both engine modules import ``training``).
+This module stays free of imports because the CLI parser reads it before
+any simulation runs.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.nn.model import DNNModel
-    from repro.sim.engine import Schedule
-    from repro.sim.metrics import TrainingStepReport
-    from repro.sim.training import TrainingSimulator
 
 #: Engine names accepted everywhere a ``sim_engine`` is spelled (CLI,
 #: service, sweep specs, :class:`~repro.sim.api.SimulationSpec`).
@@ -50,46 +38,3 @@ def validate_sim_engine(name: str | None = None) -> str:
             f"unknown sim engine {name!r}; known engines: {', '.join(SIM_ENGINES)}"
         )
     return name
-
-
-@runtime_checkable
-class SimulatorBackend(Protocol):
-    """Builds and runs one training step's task graph for one engine.
-
-    ``level_comm`` is the per-level, per-layer communication record list
-    the simulator gathered from its compiled cost table -- the one
-    engine-independent compilation product -- and the return value is the
-    assembled report next to the raw :class:`~repro.sim.engine.Schedule`
-    (exposed for tag/occupancy inspection).
-    """
-
-    name: str
-
-    def run_step(
-        self,
-        simulator: "TrainingSimulator",
-        model: "DNNModel",
-        batch_size: int,
-        strategy_name: str,
-        level_comm: list,
-    ) -> "tuple[TrainingStepReport, Schedule]": ...
-
-
-_BACKENDS: dict[str, SimulatorBackend] = {}
-
-
-def get_backend(name: str | None = None) -> SimulatorBackend:
-    """The (stateless, shared) backend instance for ``name``."""
-    name = validate_sim_engine(name)
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        if name == "analytic":
-            from repro.sim.training import AnalyticBackend
-
-            backend = AnalyticBackend()
-        else:
-            from repro.sim.network import NetworkBackend
-
-            backend = NetworkBackend()
-        _BACKENDS[name] = backend
-    return backend

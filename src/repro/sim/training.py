@@ -5,20 +5,30 @@ error backward pass, gradient computation and weight update for every
 weighted layer -- and schedules it with the discrete-event engine:
 
 * every layer pass runs as a *compute* task on the array's processing units
-  (all accelerators execute their share in lock-step, so the pass occupies
-  one aggregate PU resource for the per-accelerator duration, bounded below
-  by local HMC streaming);
+  (all accelerators execute their share in lock-step, so the pass lasts the
+  per-accelerator duration, bounded below by local HMC streaming);
 * the tensor exchanges dictated by the HyPar communication model run as
-  *communication* tasks on the hierarchy-level link resources: model-parallel
-  layers exchange output-feature partial sums during forward, data-parallel
-  layers exchange gradients during the weight update, and inter-layer
-  re-layouts are charged per layer-DAG edge (feature-map share in forward,
-  error share in backward) -- the task graph carries the model's fan-out
-  and fan-in, so a merge layer's forward waits on every branch and a
-  branching layer's backward waits on every consumer's chain;
-* communication of the different hierarchy levels of one logical exchange is
-  chained (a hierarchical reduction proceeds level by level), with each level
-  running at the effective bandwidth its topology gives to a pair boundary.
+  *communication* tasks on the interconnect: model-parallel layers exchange
+  output-feature partial sums during forward, data-parallel layers exchange
+  gradients during the weight update, and inter-layer re-layouts are
+  charged per layer-DAG edge (feature-map share in forward, error share in
+  backward) -- the task graph carries the model's fan-out and fan-in, so a
+  merge layer's forward waits on every branch and a branching layer's
+  backward waits on every consumer's chain;
+* the hierarchy levels of one logical exchange chain deepest first (a
+  hierarchical reduction proceeds level by level).
+
+One builder (:meth:`TrainingSimulator._run_step`) serves both engines.  It
+takes a *fabric*, the engine's mapping of tasks onto resources:
+
+* ``"analytic"`` -- all compute serializes on one aggregate ``array-pu``
+  resource and each hierarchy level is one aggregate link running at the
+  effective bandwidth its topology gives a pair boundary; the gradient
+  all-reduce gates the predecessor layer's backward;
+* ``"network"`` -- per-device PUs and routed per-boundary flows on the
+  physical links (see :mod:`repro.sim.network`); a level's boundary waits
+  only on the deeper boundaries its group covers, and the gradient
+  all-reduce drains off the backward chain.
 
 Energy is accumulated analytically from the same quantities: arithmetic,
 on-chip buffer and local DRAM energy are identical under every strategy
@@ -26,17 +36,17 @@ on-chip buffer and local DRAM energy are identical under every strategy
 scales with the bytes and hop counts of the exchanges.
 
 The per-level communication amounts are gathered from a compiled
-:class:`~repro.core.costs.HierarchicalCostTable` (cached per
-``(model, batch size)``, or passed in via ``simulate(..., cost_table=...)``
-by sweeps that pre-compile one), so repeated simulations of the same model
--- the Figures 9/10 sweeps, the strategy comparisons -- derive the
-scale-descent tensor amounts once instead of once per level per point.
+:class:`~repro.core.costs.HierarchicalCostTable` (cached in a
+:class:`~repro.core.costs.TableCache`, or passed in via
+``simulate(..., cost_table=...)`` by sweeps that pre-compile one), so
+repeated simulations of the same model -- the Figures 9/10 sweeps, the
+strategy comparisons -- derive the scale-descent tensor amounts once
+instead of once per level per point.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.accelerator.array import ArrayConfig
 from repro.core import kernels
@@ -51,9 +61,10 @@ from repro.core.strategies import strategy_spec
 from repro.core.tensors import ScalingMode
 from repro.interconnect import HTreeTopology, Topology
 from repro.nn.model import DNNModel
-from repro.sim.backend import get_backend, validate_sim_engine
-from repro.sim.engine import EventDrivenEngine, Schedule, Task
+from repro.sim.backend import validate_sim_engine
+from repro.sim.engine import EventDrivenEngine, Resource, Schedule, Task
 from repro.sim.metrics import EnergyBreakdown, PhaseBreakdown, TrainingStepReport
+from repro.sim.network import flow_plans
 
 #: The three layer passes of training (Equations 1-3 of the paper).
 PHASES = ("forward", "backward", "gradient")
@@ -62,6 +73,30 @@ PHASES = ("forward", "backward", "gradient")
 #: transfers adjacent to a pipeline (pp) layer are micro-batched; dp/mp-only
 #: assignments build exactly the same task graph as before.
 DEFAULT_NUM_MICROBATCHES = 4
+
+# Compiled tables a simulator keeps when no shared cache is handed in.
+_TABLE_CACHE_LIMIT = 16
+
+
+class _Fabric(NamedTuple):
+    """One engine's mapping of a training step's tasks onto resources.
+
+    ``compute`` is what every layer pass occupies.  ``boundaries[level]``
+    lists the tasks one exchange at that level splits into, as ``(name
+    suffix, resources, duration of a per-pair byte count, extra tags)``;
+    each waits on the deeper level's boundaries its group covers.
+    ``overlap_gradient`` keeps the gradient computation and its
+    all-reduce off the backward chain instead of gating the predecessor
+    layer's backward on them.
+    """
+
+    compute: tuple[Resource, ...]
+    boundaries: list[list[tuple[str, tuple[Resource, ...], Callable[[float], float], dict]]]
+    overlap_gradient: bool
+
+
+def _transfer_time(bandwidth: float) -> Callable[[float], float]:
+    return lambda per_pair: per_pair / bandwidth
 
 
 class TrainingSimulator:
@@ -89,12 +124,11 @@ class TrainingSimulator:
         chunk (overlapping the rest).  Irrelevant for assignments without
         pipeline layers, whose task graphs are unchanged.
     table_cache:
-        Optional shared :class:`~repro.core.costs.TableCache`.  When given,
-        :meth:`cost_table` compiles into (and gathers from) it, keyed by
-        the full configuration instead of this instance's model-identity
-        cache -- sweep runners hand every simulator of a worker process
-        the same cache so one compilation serves every study touching the
-        configuration.
+        Optional shared :class:`~repro.core.costs.TableCache` that
+        :meth:`cost_table` compiles into and gathers from -- sweep runners
+        hand every simulator of a worker process the same cache so one
+        compilation serves every study touching the configuration.
+        Without one the simulator keeps a private cache of 16 tables.
     backend:
         Kernel backend for the compiled cost tables (``"numpy"`` /
         ``"compiled"``; ``None`` follows the process default, see
@@ -140,61 +174,33 @@ class TrainingSimulator:
         self.scaling_mode = ScalingMode.parse(scaling_mode)
         self.strategies = StrategySpace.parse(strategies)
         self.num_microbatches = num_microbatches
-        self.table_cache = table_cache
+        self.table_cache = (
+            table_cache
+            if table_cache is not None
+            else TableCache(limit=_TABLE_CACHE_LIMIT)
+        )
         self.backend = kernels.validate_backend(backend)
         self.sim_engine = validate_sim_engine(sim_engine)
         #: The raw :class:`~repro.sim.engine.Schedule` of the most recent
         #: :meth:`simulate` call (tag/occupancy inspection; ``None`` before
         #: the first call).
         self.last_schedule: Schedule | None = None
-        # Compiled cost tables keyed by (model identity, batch size).  The
-        # table holds a strong reference to its model, so the id cannot be
-        # recycled while the entry lives; sweeps re-simulating one model
-        # hundreds of times (Figures 9/10) hit this cache on every point.
-        self._table_cache: dict[tuple[int, int], HierarchicalCostTable] = {}
         # Layer-pass executions depend on (layer, work), not on the
         # assignment, so every point of a sweep issues identical passes.
         # Keyed by the (frozen, hashable) layer itself plus the work amounts.
         self._pass_cache: dict = {}
 
-    # ------------------------------------------------------------------
-    # Cost-table management.
-    # ------------------------------------------------------------------
-
-    _TABLE_CACHE_LIMIT = 16
-
     def cost_table(self, model: DNNModel, batch_size: int) -> HierarchicalCostTable:
         """The compiled cost table for ``model`` at ``batch_size`` (cached)."""
-        if self.table_cache is not None:
-            return self.table_cache.get_or_compile(
-                model,
-                batch_size,
-                self.array.num_levels,
-                scaling_mode=self.scaling_mode,
-                communication_model=self.communication_model,
-                strategies=self.strategies,
-                backend=self.backend,
-            )
-        key = (id(model), batch_size)
-        table = self._table_cache.get(key)
-        if table is None:
-            if len(self._table_cache) >= self._TABLE_CACHE_LIMIT:
-                self._table_cache.clear()
-            table = HierarchicalCostTable(
-                model,
-                batch_size,
-                self.array.num_levels,
-                scaling_mode=self.scaling_mode,
-                communication_model=self.communication_model,
-                strategies=self.strategies,
-                backend=self.backend,
-            )
-            self._table_cache[key] = table
-        return table
-
-    # ------------------------------------------------------------------
-    # Public entry point.
-    # ------------------------------------------------------------------
+        return self.table_cache.get_or_compile(
+            model,
+            batch_size,
+            self.array.num_levels,
+            scaling_mode=self.scaling_mode,
+            communication_model=self.communication_model,
+            strategies=self.strategies,
+            backend=self.backend,
+        )
 
     def simulate(
         self,
@@ -212,35 +218,35 @@ class TrainingSimulator:
         in which case there is no inter-accelerator communication at all.
         ``cost_table`` optionally supplies an already-compiled
         :class:`~repro.core.costs.HierarchicalCostTable` (it must match this
-        simulator's configuration); otherwise one is compiled and cached per
-        (model, batch size).  The keyword-only ``sim_engine`` overrides the
+        simulator's configuration); otherwise :meth:`cost_table` supplies
+        one from :attr:`table_cache`.  The keyword-only ``sim_engine`` overrides the
         simulator's default engine for this call (``"analytic"`` or
         ``"network"``); both engines share the compiled communication
         records, and the run's raw schedule lands in :attr:`last_schedule`.
         """
-        engine_name = validate_sim_engine(
+        sim_engine = validate_sim_engine(
             self.sim_engine if sim_engine is None else sim_engine
         )
-        level_comm = self._validated_level_comm(
+        level_comm = self._level_communication(
             model, assignment, batch_size, cost_table
         )
-        backend = get_backend(engine_name)
-        report, schedule = backend.run_step(
-            self, model, batch_size, strategy_name, level_comm
+        report, self.last_schedule = self._run_step(
+            model, batch_size, strategy_name, level_comm, sim_engine
         )
-        self.last_schedule = schedule
         return report
 
-    def _validated_level_comm(
+    def _level_communication(
         self,
         model: DNNModel,
         assignment: HierarchicalAssignment | None,
         batch_size: int,
-        cost_table: HierarchicalCostTable | None = None,
-    ) -> list[list["_LayerLevelComm"]]:
+        cost_table: HierarchicalCostTable | None,
+    ) -> list[list[tuple[Parallelism, float, tuple[tuple[int, float, float], ...]]]]:
         """Validate the (model, assignment) pair and gather its records.
 
-        The engine-independent compilation step both backends share.
+        Per level and layer, ``(choice, intra, incoming)`` bytes per pair
+        from :meth:`~repro.core.costs.HierarchicalCostTable.level_communication`;
+        empty on a single-accelerator array.
         """
         num_levels = self.array.num_levels
         if num_levels == 0:
@@ -259,33 +265,74 @@ class TrainingSimulator:
                 f"assignment covers {assignment.num_layers} layers, "
                 f"model has {len(model)}"
             )
-        return self._per_level_communication(
-            model, assignment, batch_size, cost_table
+        if cost_table is None:
+            cost_table = self.cost_table(model, batch_size)
+        else:
+            cost_table.check_compatible(
+                model,
+                batch_size,
+                num_levels,
+                self.scaling_mode,
+                self.communication_model,
+            )
+        return cost_table.level_communication(assignment)
+
+    def _fabric(self, engine: EventDrivenEngine, sim_engine: str) -> _Fabric:
+        """Map the step's tasks onto ``engine``'s resources for ``sim_engine``."""
+        levels = range(self.array.num_levels)
+        if sim_engine == "network":
+            plans = flow_plans(self.topology) if self.topology is not None else []
+            return _Fabric(
+                compute=tuple(
+                    engine.resource(f"pu-{device}")
+                    for device in range(self.array.num_accelerators)
+                ),
+                boundaries=[
+                    [
+                        (
+                            f"/p{pair}",
+                            tuple(engine.resource(key) for key, _, _ in plan.link_loads),
+                            plan.duration,
+                            {"pair": pair},
+                        )
+                        for pair, plan in enumerate(plans[level])
+                    ]
+                    for level in levels
+                ],
+                overlap_gradient=True,
+            )
+        return _Fabric(
+            compute=(engine.resource("array-pu"),),
+            boundaries=[
+                [
+                    (
+                        "",
+                        (engine.resource(f"link-level-{level}"),),
+                        _transfer_time(self.topology.effective_pair_bandwidth(level)),
+                        {},
+                    )
+                ]
+                for level in levels
+            ],
+            overlap_gradient=False,
         )
 
-    def _run_analytic_step(
+    def _run_step(
         self,
         model: DNNModel,
         batch_size: int,
         strategy_name: str,
-        level_comm: list[list["_LayerLevelComm"]],
+        level_comm: list[list[tuple]],
+        sim_engine: str,
     ) -> tuple[TrainingStepReport, Schedule]:
-        """Build and run the analytic (aggregate-resource) task graph."""
+        """Build one training step's task graph on ``sim_engine``'s fabric and run it."""
         num_levels = self.array.num_levels
-        engine = EventDrivenEngine()
-        pu = engine.resource("array-pu")
-        link_resources = [
-            engine.resource(f"link-level-{level}") for level in range(num_levels)
-        ]
-        # Per-level interconnect quantities, hoisted out of the task loops.
-        level_bandwidth = [
-            self.topology.effective_pair_bandwidth(level) for level in range(num_levels)
-        ]
-        level_hops = [self.topology.average_hops(level) for level in range(num_levels)]
-
-        accelerators = self.array.accelerators()
-        reference_accelerator = accelerators[0]
         num_accelerators = self.array.num_accelerators
+        reference_accelerator = self.array.accelerators()[0]
+        energy_model = self.array.energy_model
+        engine = EventDrivenEngine()
+        fabric = self._fabric(engine, sim_engine)
+        level_hops = [self.topology.average_hops(level) for level in range(num_levels)]
 
         compute_energy = 0.0
         sram_energy = 0.0
@@ -293,16 +340,16 @@ class TrainingSimulator:
         comm_energy = 0.0
         level_comm_bytes = [0.0] * num_levels
 
-        # ------------------------------------------------------------------
-        # Helper closures.
-        # ------------------------------------------------------------------
-
         pass_cache = self._pass_cache
 
-        def add_compute(
-            name: str, layer, macs_total: float, dram_words_total: float, phase: str, deps
-        ) -> Task:
+        def add_compute(layer, phase: str, deps: tuple[Task, ...]) -> tuple[Task, ...]:
+            """The ``phase`` pass of ``layer`` across the whole array."""
             nonlocal compute_energy, sram_energy, dram_energy
+            macs_total = batch_size * layer.macs_per_sample
+            weight_passes = 3 if phase == "gradient" else 1
+            dram_words_total = batch_size * (
+                layer.input_shape.elements + layer.output_shape.elements
+            ) + weight_passes * layer.weight_count
             cache_key = (layer, macs_total, dram_words_total, num_accelerators)
             execution = pass_cache.get(cache_key)
             if execution is None:
@@ -320,234 +367,191 @@ class TrainingSimulator:
             compute_energy += execution.compute_energy * num_accelerators
             sram_energy += execution.sram_energy * num_accelerators
             dram_energy += execution.dram_energy * num_accelerators
-            return engine.add_task(
-                name,
+            task = engine.add_task(
+                f"{phase}/{layer.name}",
                 execution.seconds,
-                resources=(pu,),
+                resources=fabric.compute,
                 deps=deps,
                 tags={"phase": phase, "kind": "compute", "layer": layer.name},
             )
+            return (task,)
 
         def add_communication(
             name: str,
             bytes_per_level: Sequence[float],
             phase: str,
             layer_name: str,
-            deps,
+            deps: tuple[Task, ...],
             chunks: int = 1,
-        ) -> Task:
+        ) -> tuple[Task, ...]:
             """Chain one logical exchange across the hierarchy levels (deepest first).
 
-            With ``chunks > 1`` (pipeline stage boundaries) each level's
-            transfer is split into that many chained micro-batch tasks and
-            the *first* chunk of the shallowest level is returned, so the
-            downstream consumer overlaps the remaining micro-batches while
-            the link stays occupied for the full transfer.
+            Returns the tasks the downstream consumer waits on: the
+            shallowest scheduled level's boundaries.  With ``chunks > 1``
+            (pipeline stage boundaries) each boundary's transfer is split
+            into that many chained micro-batch tasks and the consumer waits
+            on the *first* chunks, overlapping the remaining micro-batches
+            while the links stay occupied for the full transfer.
             """
             nonlocal comm_energy
-            gate: Task | None = None
-            last: Task | None = None
-            chain_deps = tuple(deps)
+            if not num_levels:
+                return deps  # a single accelerator exchanges nothing
+            previous: list[Task] | None = None
+            gates: tuple[Task, ...] = ()
             for level in reversed(range(num_levels)):
                 per_pair = bytes_per_level[level]
                 if per_pair <= 0:
                     continue
                 num_pairs = 1 << level
                 level_comm_bytes[level] += per_pair * num_pairs
-                duration = per_pair / level_bandwidth[level]
-                comm_energy += self.array.energy_model.communication_energy_bytes(
+                comm_energy += energy_model.communication_energy_bytes(
                     per_pair * num_pairs, level_hops[level]
                 )
-                first, level_last = engine.add_microbatched_task(
-                    f"{name}/L{level}",
-                    duration,
-                    chunks,
-                    resources=(link_resources[level],),
-                    deps=chain_deps if last is None else (last,),
-                    tags={
-                        "phase": phase,
-                        "kind": "communication",
-                        "layer": layer_name,
-                        "level": level,
-                    },
-                )
-                gate = first
-                last = level_last
-            if last is None:
+                boundaries = fabric.boundaries[level]
+                firsts: list[Task] = []
+                lasts: list[Task] = []
+                for index, (suffix, resources, duration, tags) in enumerate(boundaries):
+                    if previous is None:
+                        boundary_deps = deps
+                    else:
+                        # This boundary's group covers a contiguous span of
+                        # the deeper level's groups; wait on exactly those.
+                        span = len(previous) // len(boundaries)
+                        boundary_deps = previous[index * span : (index + 1) * span]
+                    first, last = engine.add_microbatched_task(
+                        f"{name}/L{level}{suffix}",
+                        duration(per_pair),
+                        chunks,
+                        resources=resources,
+                        deps=boundary_deps,
+                        tags={
+                            "phase": phase,
+                            "kind": "communication",
+                            "layer": layer_name,
+                            "level": level,
+                            **tags,
+                        },
+                    )
+                    firsts.append(first)
+                    lasts.append(last)
+                previous = lasts
+                gates = tuple(firsts if chunks > 1 else lasts)
+            if not gates:
                 # Zero-byte exchange: nothing occupies a link, but the
                 # exchange must still be represented by a *communication*
-                # marker -- returning the upstream task directly would hand
-                # consumers a compute task standing in for a communication
-                # gate, mislabeling every tag-based trace of the schedule.
-                last = engine.add_task(
-                    f"{name}/none",
-                    0.0,
-                    deps=chain_deps,
-                    tags={"phase": phase, "kind": "communication", "layer": layer_name},
+                # marker -- handing consumers the upstream compute task
+                # instead would mislabel every tag-based trace of the
+                # schedule.
+                gates = (
+                    engine.add_task(
+                        f"{name}/none",
+                        0.0,
+                        deps=deps,
+                        tags={"phase": phase, "kind": "communication", "layer": layer_name},
+                    ),
                 )
-                gate = last
-            # Micro-batched exchanges gate the downstream on the first chunk
-            # of the shallowest level; unsplit exchanges on the final task.
-            return gate if chunks > 1 else last
-
-        # ------------------------------------------------------------------
-        # Forward pass.
-        # ------------------------------------------------------------------
+            return gates
 
         layers = list(model)
         is_chain = model.is_chain
         #: Consumers of every layer, ascending -- chain: [index + 1].
         layer_consumers = [model.consumers(layer.index) for layer in layers]
+        #: Every layer's ``(choice, intra, incoming)`` record at each level.
+        layer_records = list(zip(*level_comm)) if num_levels else [()] * len(layers)
         # A boundary adjacent to a pipeline (stage-local) layer at any level
-        # carries micro-batched stage transfers; everything else keeps the
-        # historical unsplit task graph.
-        if num_levels:
-            layer_pipelined = [
-                any(
-                    level_comm[level][index].parallelism is Parallelism.PIPELINE
-                    for level in range(num_levels)
-                )
-                for index in range(len(layers))
-            ]
-        else:
-            layer_pipelined = [False] * len(layers)
+        # carries micro-batched stage transfers; everything else is unsplit.
+        layer_pipelined = [
+            any(choice is Parallelism.PIPELINE for choice, _, _ in records)
+            for records in layer_records
+        ]
 
-        def edge_chunks(source: int, destination: int) -> int:
-            """Micro-batch chunks of the edge ``source -> destination``."""
-            if layer_pipelined[source] or layer_pipelined[destination]:
-                return self.num_microbatches
-            return 1
+        def add_intra(layer, phase: str, deps: tuple[Task, ...]) -> tuple[Task, ...]:
+            """The intra-layer exchanges strategies run in ``phase`` (mp's
+            partial-sum reduction in forward, dp's gradient reduction)."""
+            return add_communication(
+                f"{phase}-intra/{layer.name}",
+                [
+                    intra if strategy_spec(choice).intra_phase == phase else 0.0
+                    for choice, intra, _ in layer_records[layer.index]
+                ],
+                phase,
+                layer.name,
+                deps,
+            )
 
-        def edge_task_name(prefix: str, source_layer, destination: int) -> str:
-            # Chains keep the historical single-name scheme (the source
-            # layer has at most one outgoing boundary); DAG fan-out needs
-            # the destination to keep task names unique.
-            if is_chain:
-                return f"{prefix}/{source_layer.name}"
-            return f"{prefix}/{source_layer.name}->{layers[destination].name}"
+        def add_inter(
+            layer, destination: int, phase: str, deps: tuple[Task, ...]
+        ) -> tuple[Task, ...]:
+            """Re-layout across the edge ``layer -> destination``: the feature
+            map in forward, the error in backward."""
+            position = layers[destination].inputs.index(layer.index)
+            direction = 1 if phase == "forward" else 2
+            # Chains keep the single-name scheme (a layer has at most one
+            # outgoing boundary); DAG fan-out needs the destination to keep
+            # task names unique.
+            name = f"{phase}-inter/{layer.name}"
+            if not is_chain:
+                name += f"->{layers[destination].name}"
+            pipelined = layer_pipelined[layer.index] or layer_pipelined[destination]
+            return add_communication(
+                name,
+                [incoming[position][direction] for _, _, incoming in layer_records[destination]],
+                phase,
+                layer.name,
+                deps,
+                chunks=self.num_microbatches if pipelined else 1,
+            )
 
-        def input_position(destination: int, source: int) -> int:
-            """Position of ``source`` among ``destination``'s declared inputs."""
-            return layers[destination].inputs.index(source)
+        # ------------------------------------------------------------------
+        # Forward pass.  Every forward edge's gate is what the consumer's
+        # compute waits on: the source's intra tail, or its boundary
+        # re-layout when the array has levels.
+        # ------------------------------------------------------------------
 
-        # Gate task of every forward edge: what the consumer's compute
-        # depends on (the source's intra tail, or its boundary re-layout
-        # when one is scheduled).
-        forward_edge_gate: dict[tuple[int, int], Task] = {}
-        tail: Task | None = None
+        forward_edge_gate: dict[tuple[int, int], tuple[Task, ...]] = {}
+        tail: tuple[Task, ...] = ()
         for layer in layers:
             deps = tuple(
-                forward_edge_gate[(source, layer.index)] for source in layer.inputs
+                task
+                for source in layer.inputs
+                for task in forward_edge_gate[(source, layer.index)]
             )
-            macs = batch_size * layer.macs_per_sample
-            words = batch_size * (
-                layer.input_shape.elements + layer.output_shape.elements
-            ) + layer.weight_count
-            compute = add_compute(
-                f"forward/{layer.name}", layer, macs, words, "forward", deps
-            )
-            tail = compute
-            if num_levels:
-                # Strategies whose intra exchange happens in forward (mp's
-                # output-feature partial-sum reduction) run it now.
-                intra = [
-                    record.intra_bytes
-                    if strategy_spec(record.parallelism).intra_phase == "forward"
-                    else 0.0
-                    for record in (level_comm[level][layer.index] for level in range(num_levels))
-                ]
-                tail = add_communication(
-                    f"forward-intra/{layer.name}", intra, "forward", layer.name, (compute,)
-                )
-                # Boundary re-layout of the feature map crossing each
-                # outgoing edge (chain: the single next-layer boundary).
-                for destination in layer_consumers[layer.index]:
-                    position = input_position(destination, layer.index)
-                    inter = [
-                        level_comm[level][destination].incoming[position][1]
-                        for level in range(num_levels)
-                    ]
-                    gate = add_communication(
-                        edge_task_name("forward-inter", layer, destination),
-                        inter,
-                        "forward",
-                        layer.name,
-                        (tail,),
-                        chunks=edge_chunks(layer.index, destination),
-                    )
-                    forward_edge_gate[(layer.index, destination)] = gate
-                    if is_chain:
-                        tail = gate
-            else:
-                for destination in layer_consumers[layer.index]:
-                    forward_edge_gate[(layer.index, destination)] = tail
+            tail = add_intra(layer, "forward", add_compute(layer, "forward", deps))
+            for destination in layer_consumers[layer.index]:
+                gate = add_inter(layer, destination, "forward", tail)
+                forward_edge_gate[(layer.index, destination)] = gate
+                if is_chain:
+                    tail = gate
 
         # ------------------------------------------------------------------
         # Backward pass (error backward + gradient computation + update),
-        # proceeding from the last layer towards the first.  A layer's
-        # backward waits for every consumer's backward chain (branch joins
-        # respect the fan-in), and its outgoing-edge error re-layouts are
-        # charged before its gradient computation, as on chains.
+        # from the last layer towards the first.  A layer's backward waits
+        # for every consumer's backward chain (branch joins respect the
+        # fan-in), and its outgoing-edge error re-layouts are charged before
+        # its gradient computation.
         # ------------------------------------------------------------------
 
-        forward_final: Task | None = tail
-        backward_final: dict[int, Task] = {}
+        forward_final = tail
+        backward_final: dict[int, tuple[Task, ...]] = {}
         for layer in reversed(layers):
             consumers = layer_consumers[layer.index]
             if consumers:
-                deps = tuple(backward_final[destination] for destination in consumers)
-            else:
-                deps = (forward_final,) if forward_final is not None else ()
-            macs = batch_size * layer.macs_per_sample
-            backward_words = batch_size * (
-                layer.input_shape.elements + layer.output_shape.elements
-            ) + layer.weight_count
-            backward = add_compute(
-                f"backward/{layer.name}", layer, macs, backward_words, "backward", deps
-            )
-            tail = backward
-            if num_levels:
-                # Error re-layout across each outgoing edge.
-                for destination in consumers:
-                    position = input_position(destination, layer.index)
-                    inter = [
-                        level_comm[level][destination].incoming[position][2]
-                        for level in range(num_levels)
-                    ]
-                    tail = add_communication(
-                        edge_task_name("backward-inter", layer, destination),
-                        inter,
-                        "backward",
-                        layer.name,
-                        (tail,),
-                        chunks=edge_chunks(layer.index, destination),
-                    )
-
-            gradient_words = batch_size * (
-                layer.input_shape.elements + layer.output_shape.elements
-            ) + 3 * layer.weight_count
-            gradient = add_compute(
-                f"gradient/{layer.name}",
-                layer,
-                macs,
-                gradient_words,
-                "gradient",
-                (tail,),
-            )
-            tail = gradient
-            if num_levels:
-                # Strategies whose intra exchange happens at the weight
-                # update (dp's gradient reduction) run it now.
-                intra = [
-                    record.intra_bytes
-                    if strategy_spec(record.parallelism).intra_phase == "gradient"
-                    else 0.0
-                    for record in (level_comm[level][layer.index] for level in range(num_levels))
-                ]
-                tail = add_communication(
-                    f"gradient-intra/{layer.name}", intra, "gradient", layer.name, (gradient,)
+                deps = tuple(
+                    task for destination in consumers for task in backward_final[destination]
                 )
-            backward_final[layer.index] = tail
+            else:
+                deps = forward_final
+            tail = add_compute(layer, "backward", deps)
+            for destination in consumers:
+                tail = add_inter(layer, destination, "backward", tail)
+            if fabric.overlap_gradient:
+                # The predecessor's backward needs only the propagated error;
+                # the gradient work and its all-reduce drain alongside and
+                # extend the step only if they finish last.
+                backward_final[layer.index] = tail
+            tail = add_intra(layer, "gradient", add_compute(layer, "gradient", tail))
+            if not fabric.overlap_gradient:
+                backward_final[layer.index] = tail
 
         schedule = engine.run()
 
@@ -585,135 +589,3 @@ class TrainingSimulator:
             level_communication_bytes=tuple(level_comm_bytes),
         )
         return report, schedule
-
-    # ------------------------------------------------------------------
-    # Per-level communication pre-computation.
-    # ------------------------------------------------------------------
-
-    def _per_level_communication(
-        self,
-        model: DNNModel,
-        assignment: HierarchicalAssignment,
-        batch_size: int,
-        cost_table: HierarchicalCostTable | None = None,
-    ) -> list[list["_LayerLevelComm"]]:
-        """Per-hierarchy-level, per-layer communication records (bytes per pair).
-
-        Gathered from the compiled cost table: the scale-descent outcomes
-        are derived once per (model, batch) and shared across every
-        simulated assignment instead of rebuilding the tensor lists level by
-        level for each point of a sweep.
-        """
-        if cost_table is None:
-            cost_table = self.cost_table(model, batch_size)
-        else:
-            cost_table.check_compatible(
-                model,
-                batch_size,
-                assignment.num_levels,
-                self.scaling_mode,
-                self.communication_model,
-            )
-        return [
-            [
-                _LayerLevelComm(
-                    parallelism=choice,
-                    intra_bytes=intra,
-                    incoming=incoming,
-                )
-                for choice, intra, incoming in level_records
-            ]
-            for level_records in cost_table.level_communication(assignment)
-        ]
-
-
-class _LayerLevelComm:
-    """Communication of one layer at one hierarchy level (bytes per pair).
-
-    ``incoming`` lists the layer's incoming-edge re-layouts as
-    ``(source_layer, forward_bytes, backward_bytes)`` tuples in input
-    order; a chain layer has at most one entry, a merge layer one per
-    branch.
-    """
-
-    __slots__ = ("parallelism", "intra_bytes", "incoming")
-
-    def __init__(
-        self,
-        parallelism: Parallelism,
-        intra_bytes: float,
-        incoming: tuple[tuple[int, float, float], ...],
-    ) -> None:
-        self.parallelism = parallelism
-        self.intra_bytes = intra_bytes
-        self.incoming = incoming
-
-    @property
-    def inter_forward_bytes(self) -> float:
-        return sum(record[1] for record in self.incoming)
-
-    @property
-    def inter_backward_bytes(self) -> float:
-        return sum(record[2] for record in self.incoming)
-
-    @property
-    def inter_bytes(self) -> float:
-        return self.inter_forward_bytes + self.inter_backward_bytes
-
-    @property
-    def total_bytes(self) -> float:
-        return self.intra_bytes + self.inter_bytes
-
-
-class AnalyticBackend:
-    """:class:`~repro.sim.backend.SimulatorBackend` for the analytic engine."""
-
-    name = "analytic"
-
-    def run_step(
-        self,
-        simulator: "TrainingSimulator",
-        model: DNNModel,
-        batch_size: int,
-        strategy_name: str,
-        level_comm: list,
-    ) -> tuple[TrainingStepReport, Schedule]:
-        return simulator._run_analytic_step(
-            model, batch_size, strategy_name, level_comm
-        )
-
-
-def simulate_partitioned(
-    model: DNNModel,
-    batch_size: int = 256,
-    array: ArrayConfig | None = None,
-    topology: Topology | None = None,
-    scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
-    strategies: StrategySpace | str | None = None,
-) -> tuple[TrainingStepReport, HierarchicalAssignment]:
-    """Deprecated convenience helper: search HyPar's assignment, then simulate.
-
-    .. deprecated::
-        Kept as a bit-exact shim over :func:`repro.sim.api.simulate`; the
-        replacement takes a :class:`~repro.sim.api.SimulationSpec` and also
-        selects the simulation engine (``sim_engine="network"``).
-    """
-    warnings.warn(
-        "simulate_partitioned is deprecated. use repro.sim.simulate with a "
-        "SimulationSpec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.sim.api import SimulationSpec, simulate
-
-    result = simulate(
-        model,
-        spec=SimulationSpec(
-            batch_size=batch_size,
-            array=array,
-            topology=topology,
-            scaling_mode=scaling_mode,
-            strategies=strategies,
-        ),
-    )
-    return result.report, result.assignment

@@ -28,18 +28,6 @@ class TestParallelism:
         assert Parallelism.MODEL.short == "mp"
         assert Parallelism.PIPELINE.short == "pp"
 
-    def test_bit_encoding_roundtrip(self):
-        for member in (DATA, MODEL):
-            assert Parallelism.from_bit(member.bit) is member
-
-    def test_pipeline_has_no_bit(self):
-        with pytest.raises(ValueError):
-            Parallelism.PIPELINE.bit
-
-    def test_from_bit_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            Parallelism.from_bit(2)
-
     @pytest.mark.parametrize(
         "text,expected",
         [
@@ -140,22 +128,11 @@ class TestLayerAssignment:
         with pytest.raises(ValueError):
             LayerAssignment(())
 
-    def test_bits_roundtrip(self):
-        for bits in range(16):
-            with pytest.warns(DeprecationWarning, match="from_bits is deprecated"):
-                assignment = LayerAssignment.from_bits(bits, 4)
-            with pytest.warns(DeprecationWarning, match="to_bits is deprecated"):
-                assert assignment.to_bits() == bits
-
-    def test_from_bits_layout_is_lsb_first(self):
-        with pytest.warns(DeprecationWarning, match="from_bits is deprecated"):
-            assignment = LayerAssignment.from_bits(0b0011, 4)
+    def test_binary_codes_keep_the_figure_9_10_bit_layout(self):
+        """dp/mp codes are the exploration figures' bits: LSB = layer 0, 1 = mp."""
+        assignment = LayerAssignment.from_codes(0b0011, 4, DEFAULT_SPACE)
         assert assignment.choices == (MODEL, MODEL, DATA, DATA)
-
-    def test_from_bits_range_check(self):
-        with pytest.warns(DeprecationWarning, match="from_bits is deprecated"):
-            with pytest.raises(ValueError):
-                LayerAssignment.from_bits(16, 4)
+        assert assignment.to_codes(DEFAULT_SPACE) == 0b0011
 
     def test_codes_roundtrip_base_three(self):
         space = StrategySpace.parse("dp,mp,pp")
@@ -172,17 +149,6 @@ class TestLayerAssignment:
     def test_from_codes_range_check(self):
         with pytest.raises(ValueError):
             LayerAssignment.from_codes(27, 3, StrategySpace.parse("dp,mp,pp"))
-
-    def test_bit_shims_are_exact_over_the_binary_space(self):
-        """from_bits/to_bits must warn but stay bit-exact shims of from_codes/to_codes."""
-        for num_layers in (1, 3, 6):
-            for bits in range(1 << num_layers):
-                with pytest.warns(DeprecationWarning, match="from_bits is deprecated"):
-                    via_bits = LayerAssignment.from_bits(bits, num_layers)
-                via_codes = LayerAssignment.from_codes(bits, num_layers, DEFAULT_SPACE)
-                assert via_bits.choices == via_codes.choices
-                with pytest.warns(DeprecationWarning, match="to_bits is deprecated"):
-                    assert via_bits.to_bits() == via_codes.to_codes(DEFAULT_SPACE) == bits
 
     def test_count(self):
         assignment = LayerAssignment.of(["dp", "mp", "dp"])

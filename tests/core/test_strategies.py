@@ -1,6 +1,5 @@
 """Tests for the strategy registry and end-to-end pipeline parallelism."""
 
-import numpy as np
 import pytest
 
 from repro.core.communication import CommunicationModel
@@ -8,11 +7,9 @@ from repro.core.exhaustive import enumerate_restricted_communication
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import (
     DATA,
-    DEFAULT_SPACE,
     MODEL,
     PIPELINE,
     HierarchicalAssignment,
-    LayerAssignment,
     Parallelism,
     StrategySpace,
 )
@@ -98,45 +95,6 @@ class TestPipelineCostModel:
         assert self.comm.inter_layer_elements(DATA, MODEL, self.boundary) == 0.5 * amount
         assert self.comm.inter_layer_elements(MODEL, MODEL, self.boundary) == 0.5 * amount
         assert self.comm.inter_layer_elements(MODEL, DATA, self.boundary) == 0.5 * amount
-
-
-class TestDeprecatedBitShims:
-    """The historical bit-encoding names must warn but stay bit-exact for K=2."""
-
-    def test_cost_table_score_bits_equals_score_codes(self):
-        from repro.core.costs import CostTable
-
-        model = lenet_c()
-        table = CostTable.compile(model, 64)
-        codes = np.arange(table.num_assignments)
-        with pytest.warns(DeprecationWarning, match="score_bits is deprecated"):
-            via_bits = table.score_bits(codes)
-        np.testing.assert_array_equal(via_bits, table.score_codes(codes))
-        with pytest.warns(DeprecationWarning, match="result_for_bits is deprecated"):
-            via_bits_result = table.result_for_bits(3)
-        assert via_bits_result.communication_bytes == (
-            table.result_for_codes(3).communication_bytes
-        )
-
-    def test_hierarchical_table_bit_shims(self):
-        model = lenet_c()
-        partitioner = HierarchicalPartitioner(num_levels=2)
-        table = partitioner.compile_table(model, 64)
-        codes = np.arange(1 << table.total_bits)
-        with pytest.warns(DeprecationWarning, match="score_bits is deprecated"):
-            via_bits = table.score_bits(codes)
-        np.testing.assert_array_equal(via_bits, table.score_codes(codes))
-        with pytest.warns(DeprecationWarning, match="bits_to_assignment is deprecated"):
-            assignment = table.bits_to_assignment(37)
-        with pytest.warns(DeprecationWarning, match="assignment_to_bits is deprecated"):
-            assert table.assignment_to_bits(assignment) == 37
-        assert table.codes_to_assignment(37) == assignment
-
-    def test_layer_assignment_shims_match_codes_for_every_pattern(self):
-        for bits in range(1 << 4):
-            with pytest.warns(DeprecationWarning, match="from_bits is deprecated"):
-                via_bits = LayerAssignment.from_bits(bits, 4)
-            assert via_bits.choices == LayerAssignment.from_codes(bits, 4, DEFAULT_SPACE).choices
 
 
 class TestPipelineSearch:

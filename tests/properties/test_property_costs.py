@@ -494,8 +494,8 @@ class TestHierarchicalTableMatchesObjectPath:
         mode = data.draw(st.sampled_from(list(ScalingMode)), label="mode")
         partitioner = HierarchicalPartitioner(num_levels=num_levels, scaling_mode=mode)
         table = partitioner.compile_table(model, batch)
-        totals = table.score_codes(np.arange(1 << table.total_bits))
-        for bits in range(1 << table.total_bits):
+        totals = table.score_codes(np.arange(1 << table.total_digits))
+        for bits in range(1 << table.total_digits):
             assignment = table.codes_to_assignment(bits)
             reference = partitioner.evaluate_reference(model, assignment, batch)
             assert totals[bits] == reference.total_communication_bytes

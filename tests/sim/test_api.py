@@ -4,10 +4,11 @@ import pytest
 
 from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism
-from repro.sim import SIM_ENGINES, SimulationSpec, get_backend, simulate
+from repro.nn.model_zoo import alexnet
+from repro.sim import SIM_ENGINES, SimulationSpec, simulate
 from repro.sim.backend import validate_sim_engine
 from repro.sim.engine import Schedule
-from repro.sim.training import TrainingSimulator, simulate_partitioned
+from repro.sim.training import TrainingSimulator
 
 
 class TestSimulationSpec:
@@ -39,12 +40,6 @@ class TestBackendRegistry:
         assert validate_sim_engine("network") == "network"
         with pytest.raises(ValueError, match="known engines"):
             validate_sim_engine("psychic")
-
-    def test_backends_are_singletons_with_matching_names(self):
-        for name in SIM_ENGINES:
-            backend = get_backend(name)
-            assert backend.name == name
-            assert get_backend(name) is backend
 
 
 class TestSimulateEntryPoint:
@@ -95,20 +90,33 @@ class TestSimulateEntryPoint:
             simulator.simulate(lenet_model, assignment, 64, sim_engine="nope")
 
 
-class TestDeprecatedShim:
-    def test_simulate_partitioned_warns_and_matches_the_new_api(self, lenet_model):
-        with pytest.warns(
-            DeprecationWarning, match="simulate_partitioned is deprecated"
-        ):
-            report, assignment = simulate_partitioned(
-                lenet_model, batch_size=64, array=ArrayConfig(num_accelerators=4)
-            )
-        result = simulate(
-            lenet_model,
-            spec=SimulationSpec(batch_size=64, array=ArrayConfig(num_accelerators=4)),
+class TestSuppliedCostTable:
+    """``simulate(..., cost_table=)`` serves the search and the simulation."""
+
+    SPEC = SimulationSpec(batch_size=64, array=ArrayConfig(num_accelerators=4))
+
+    def test_searched_run_uses_the_supplied_table(self, lenet_model):
+        simulator = self.SPEC.build_simulator()
+        table = self.SPEC.build_simulator().cost_table(lenet_model, 64)
+        supplied = simulate(
+            lenet_model, spec=self.SPEC, simulator=simulator, cost_table=table
         )
-        # Bit-exact delegation: same floats, same searched assignment.
-        assert report.step_seconds == result.report.step_seconds
-        assert report.energy_joules == result.report.energy_joules
-        assert report.communication_bytes == result.report.communication_bytes
-        assert assignment == result.assignment
+        assert simulator.table_cache.misses == 0
+        compiled = simulate(lenet_model, spec=self.SPEC)
+        assert supplied.assignment == compiled.assignment
+        assert supplied.report == compiled.report
+
+    @pytest.mark.parametrize(
+        "table_model,table_batch",
+        [("Lenet-c", 128), ("AlexNet", 64)],
+        ids=["other-batch", "other-model"],
+    )
+    @pytest.mark.parametrize("searched", [True, False], ids=["searched", "explicit"])
+    def test_incompatible_table_is_rejected(
+        self, lenet_model, table_model, table_batch, searched
+    ):
+        model = lenet_model if table_model == "Lenet-c" else alexnet()
+        table = self.SPEC.build_simulator().cost_table(model, table_batch)
+        assignment = None if searched else data_parallelism(lenet_model, 2)
+        with pytest.raises(ValueError, match="cost table was compiled for a different"):
+            simulate(lenet_model, assignment, self.SPEC, cost_table=table)

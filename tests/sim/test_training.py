@@ -7,7 +7,9 @@ from repro.core.baselines import data_parallelism, model_parallelism
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import DATA, HierarchicalAssignment
 from repro.interconnect import HTreeTopology, TorusTopology
-from repro.sim.training import PHASES, TrainingSimulator, simulate_partitioned
+from repro.nn.model_zoo import lenet_c
+from repro.sim.engine import EventDrivenEngine
+from repro.sim.training import PHASES, TrainingSimulator
 
 
 @pytest.fixture(scope="module")
@@ -179,18 +181,51 @@ class TestTopologies:
             TrainingSimulator(ArrayConfig(num_accelerators=1), HTreeTopology(2, 200e6))
 
 
-class TestSimulatePartitioned:
-    def test_returns_report_and_assignment(self, lenet_model):
-        with pytest.warns(DeprecationWarning, match="simulate_partitioned is deprecated"):
-            report, assignment = simulate_partitioned(lenet_model, batch_size=256)
-        assert report.strategy_name == "HyPar"
-        assert assignment.num_levels == 4
-        assert report.communication_bytes > 0
+class TestCostTableCache:
+    def test_equal_models_compile_one_table(self):
+        """Without a shared cache the simulator keeps a private one keyed by
+        configuration, so a rebuilt (equal) model reuses the compiled table."""
+        simulator = TrainingSimulator(ArrayConfig(num_accelerators=4))
+        first = simulator.simulate(lenet_c(), data_parallelism(lenet_c(), 2), 64)
+        second = simulator.simulate(lenet_c(), data_parallelism(lenet_c(), 2), 64)
+        assert simulator.table_cache.misses == 1
+        assert simulator.table_cache.hits == 1
+        assert first == second
 
-    def test_custom_array_size(self, lenet_model):
-        with pytest.warns(DeprecationWarning, match="simulate_partitioned is deprecated"):
-            report, assignment = simulate_partitioned(
-                lenet_model, batch_size=64, array=ArrayConfig(num_accelerators=4)
-            )
-        assert report.num_accelerators == 4
-        assert assignment.num_levels == 2
+    def test_private_caches_are_per_simulator(self):
+        assert TrainingSimulator().table_cache is not TrainingSimulator().table_cache
+
+
+class TestLevelChaining:
+    """A level's boundary tasks wait on exactly the deeper boundaries their
+    group covers; schedule times alone rarely show the difference."""
+
+    @pytest.fixture
+    def task_deps(self, monkeypatch):
+        recorded = {}
+        add_task = EventDrivenEngine.add_task
+
+        def spy(self, name, duration, resources=(), deps=(), tags=None):
+            task = add_task(self, name, duration, resources, deps, tags)
+            recorded[name] = tuple(dep.name for dep in task.deps)
+            return task
+
+        monkeypatch.setattr(EventDrivenEngine, "add_task", spy)
+        return recorded
+
+    def test_network_boundaries_wait_on_their_child_groups(self, task_deps, lenet_model):
+        simulator = TrainingSimulator(ArrayConfig(num_accelerators=8), sim_engine="network")
+        simulator.simulate(lenet_model, data_parallelism(lenet_model, 3), 64)
+        name = "gradient-intra/fc2"
+        assert task_deps[f"{name}/L2/p0"] == ("gradient/fc2",)
+        assert task_deps[f"{name}/L1/p0"] == (f"{name}/L2/p0", f"{name}/L2/p1")
+        assert task_deps[f"{name}/L1/p1"] == (f"{name}/L2/p2", f"{name}/L2/p3")
+        assert task_deps[f"{name}/L0/p0"] == (f"{name}/L1/p0", f"{name}/L1/p1")
+
+    def test_analytic_levels_form_one_chain(self, task_deps, lenet_model):
+        simulator = TrainingSimulator(ArrayConfig(num_accelerators=8))
+        simulator.simulate(lenet_model, data_parallelism(lenet_model, 3), 64)
+        name = "gradient-intra/fc2"
+        assert task_deps[f"{name}/L2"] == ("gradient/fc2",)
+        assert task_deps[f"{name}/L1"] == (f"{name}/L2",)
+        assert task_deps[f"{name}/L0"] == (f"{name}/L1",)
