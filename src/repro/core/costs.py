@@ -1377,16 +1377,18 @@ class CostTable:
                 per_layer[:, 1:] += inter_acc[:, 1:]
                 totals = _sequential_row_sum(per_layer)
             end_codes = codes // group_size
-            # Strict ``<`` against the running minima keeps the first
-            # (lowest-pattern) winner across ascending chunks, matching
-            # the unchunked group-argmin tie rule.
-            for end_code in np.unique(end_codes):
-                mask = end_codes == end_code
-                subset = totals[mask]
+            # ``codes`` ascend, so each end code is one contiguous run of
+            # the chunk.  Strict ``<`` against the running minima keeps the
+            # first (lowest-pattern) winner across ascending chunks,
+            # matching the unchunked group-argmin tie rule.
+            bounds = (np.flatnonzero(end_codes[1:] != end_codes[:-1]) + 1).tolist()
+            for low, high in zip([0, *bounds], [*bounds, codes.shape[0]]):
+                end_code = end_codes[low]
+                subset = totals[low:high]
                 index = int(np.argmin(subset))
                 if subset[index] < best[end_code]:
                     best[end_code] = subset[index]
-                    best_rest[end_code] = codes[mask][index] % group_size
+                    best_rest[end_code] = codes[low + index] % group_size
         return best, best_rest
 
     # ------------------------------------------------------------------

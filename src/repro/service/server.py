@@ -22,6 +22,7 @@ engine's idempotent, signal-safe ``close``), exit code 0.
 
 from __future__ import annotations
 
+import gc
 import signal
 import socket
 import sys
@@ -276,6 +277,12 @@ def serve(
         log_requests=log_requests, request_timeout=request_timeout,
         fault_plan=fault_plan, cost_model=cost_model,
     )
+    # The boot heap (imports, registries, the server) lives as long as the
+    # daemon: move it out of the collector's generations, so full
+    # collections stop re-walking it and stop pausing whichever request
+    # is in flight.
+    gc.collect()
+    gc.freeze()
 
     previous: dict[int, object] = {}
     if install_signal_handlers:
@@ -314,5 +321,6 @@ def serve(
         acceptor.join(timeout=5.0)
         for signum, handler in previous.items():
             signal.signal(signum, handler)
+        gc.unfreeze()
     print("hypar serve: shut down cleanly", file=sys.stderr, flush=True)
     return 0

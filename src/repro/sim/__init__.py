@@ -11,8 +11,8 @@
   tensor exchange dictated by the communication model) on either engine's
   fabric and runs it.
 * :mod:`repro.sim.network` -- the routed flow plans behind the
-  contention-aware engine: per-device PUs and per-physical-link resources
-  with real queueing.
+  contention-aware engine: exchanges queue on the physical links, held
+  as one resource per link class.
 * :mod:`repro.sim.metrics` -- the report records (time, energy, traffic).
 * :mod:`repro.sim.trace` -- explicit point-to-point transfer lists derived
   from a partitioned network (for link-load studies and export).

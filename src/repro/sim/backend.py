@@ -10,9 +10,9 @@ communication records, through one task-graph builder
   resource, so the step time is a closed-form chain with no intra-level
   contention.
 * ``"network"`` -- the contention-aware model (:mod:`repro.sim.network`):
-  per-device PU resources and per-physical-link resources instantiated
-  from the :class:`~repro.interconnect.Topology`, with real link
-  occupancy/queueing and compute/communication overlap.
+  compute on the same lock-step PU resource, exchanges routed over the
+  physical links of the :class:`~repro.interconnect.Topology`, with real
+  link occupancy/queueing and compute/communication overlap.
 
 This module stays free of imports because the CLI parser reads it before
 any simulation runs.

@@ -8,6 +8,12 @@ each hierarchy level).  This module provides the generic machinery --
 resources, tasks with dependencies, and an event queue that advances
 simulated time -- and :mod:`repro.sim.training` builds the training-step
 task graph on top of it.
+
+The event loop works on integer task ids (insertion positions) and flat
+lists.  Tasks that name the same dependency tuple share one countdown, so
+a fan-in of ``m`` tasks onto one tuple of ``k`` dependencies costs ``k``
+decrements instead of ``m * k``; each distinct tuple is validated once,
+when its first task is added.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Dict, Iterable, List
+from operator import attrgetter
+from typing import Dict, Iterable, List, NamedTuple
 
 
 class SimulationError(RuntimeError):
@@ -58,6 +65,8 @@ class Task:
     tags:
         Free-form key/value metadata (layer, phase, level, energy, ...)
         carried through to the schedule for reporting.
+    start, end:
+        The scheduled times, filled in by :meth:`EventDrivenEngine.run`.
     """
 
     __slots__ = ("name", "duration", "resources", "deps", "tags", "start", "end")
@@ -84,9 +93,12 @@ class Task:
         return f"Task(name={self.name!r}, duration={self.duration!r})"
 
 
-@dataclasses.dataclass(frozen=True)
-class ScheduledTask:
-    """Immutable record of one task's placement in the final schedule."""
+class ScheduledTask(NamedTuple):
+    """Immutable record of one task's placement in the final schedule.
+
+    A named tuple, so :meth:`EventDrivenEngine.run` can build every record
+    in C: a schedule holds one per task.
+    """
 
     name: str
     start: float
@@ -137,10 +149,19 @@ class EventDrivenEngine:
 
     def __init__(self) -> None:
         self._tasks: List[Task] = []
-        self._task_set: set[Task] = set()
-        self._names: set[str] = set()
+        #: Task name -> insertion position, the task's integer id.
+        self._ids: Dict[str, int] = {}
         self._resources: Dict[str, Resource] = {}
         self._counter = itertools.count()
+        # One group per distinct deps tuple, numbered in order of first
+        # use: its first task, and its later tasks in insertion order.
+        self._groups: Dict[tuple[Task, ...], int] = {}
+        self._first_member: List[int] = []
+        self._more_members: Dict[int, List[int]] = {}
+        #: Task id -> the group, or list of groups, that list the task among
+        #: their deps.  Most tasks gate one group; holding that one as a
+        #: plain int keeps the graph to the GC-tracked objects it needs.
+        self._dependants: Dict[int, int | List[int]] = {}
 
     # ------------------------------------------------------------------
     # Graph construction.
@@ -161,25 +182,45 @@ class EventDrivenEngine:
         tags: dict | None = None,
     ) -> Task:
         """Add one task to the graph and return its handle."""
-        if duration < 0:
+        if not duration >= 0:  # also rejects NaN, which would unorder the queue
             raise ValueError(f"task {name!r}: duration must be non-negative")
-        if name in self._names:
+        ids = self._ids
+        if name in ids:
             raise ValueError(f"duplicate task name {name!r}")
-        task = Task(
-            name=name,
-            duration=float(duration),
-            resources=tuple(resources),
-            deps=tuple(deps),
-            tags=dict(tags or {}),
-        )
-        for dep in task.deps:
-            if dep not in self._task_set:
-                raise SimulationError(
-                    f"task {name!r} depends on unknown task {dep.name!r}"
-                )
-        self._tasks.append(task)
-        self._task_set.add(task)
-        self._names.add(name)
+        task = Task(name, float(duration), tuple(resources), tuple(deps), dict(tags or {}))
+        tasks = self._tasks
+        index = len(tasks)
+        groups = self._groups
+        count = len(groups)
+        group = groups.setdefault(task.deps, count)
+        if group == count:
+            # A new deps tuple: validate it once and register its countdown.
+            for dep in task.deps:
+                dep_id = ids.get(dep.name)
+                if dep_id is None or tasks[dep_id] is not dep:
+                    del groups[task.deps]
+                    raise SimulationError(
+                        f"task {name!r} depends on unknown task {dep.name!r}"
+                    )
+            dependants = self._dependants
+            for dep in task.deps:
+                dep_id = ids[dep.name]
+                waiting = dependants.get(dep_id)
+                if waiting is None:
+                    dependants[dep_id] = group
+                elif waiting.__class__ is int:
+                    dependants[dep_id] = [waiting, group]
+                else:
+                    waiting.append(group)
+            self._first_member.append(index)
+        else:
+            more = self._more_members.get(group)
+            if more is None:
+                self._more_members[group] = [index]
+            else:
+                more.append(index)
+        tasks.append(task)
+        ids[name] = index
         return task
 
     def add_microbatched_task(
@@ -226,63 +267,89 @@ class EventDrivenEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> Schedule:
-        """Schedule every task and return the resulting :class:`Schedule`."""
-        remaining_deps: Dict[Task, int] = {
-            task: len(task.deps) for task in self._tasks
-        }
-        dependants: Dict[Task, List[Task]] = {task: [] for task in self._tasks}
-        for task in self._tasks:
-            for dep in task.deps:
-                dependants[dep].append(task)
+        """Schedule every task and return the resulting :class:`Schedule`.
 
-        # ready_at[task] = simulated time at which all deps were satisfied.
-        ready_queue: List[tuple[float, int, Task]] = []
-        for task in self._tasks:
-            if remaining_deps[task] == 0:
-                heapq.heappush(ready_queue, (0.0, next(self._counter), task))
-
-        completion_events: List[tuple[float, int, Task]] = []
+        Completions pop off one heap keyed ``(end, next(counter))``, so
+        equal end times complete in the order their tasks started.  A task
+        becomes ready when its last dependency completes, at that
+        completion's time: event times never decrease, because every task
+        starts no earlier than it became ready and durations are
+        non-negative.  The tasks one completion releases start in insertion
+        order -- the FIFO order of equal ready times -- each as soon as all
+        its resources are free, and hold them until it ends.
+        """
+        tasks = self._tasks
+        first_member = self._first_member
+        more_members = self._more_members
+        dependants = self._dependants
+        pending = [len(deps) for deps in self._groups]
+        counter = self._counter
+        push = heapq.heappush
+        pop = heapq.heappop
+        events: List[tuple[float, int, int]] = []
         completed = 0
 
-        while ready_queue or completion_events:
-            # Start every ready task whose resources allow it; because
-            # resources serialise work by bumping ``available_at`` we can
-            # start tasks eagerly in ready order.
-            while ready_queue:
-                ready_time, _, task = heapq.heappop(ready_queue)
-                start = ready_time
-                for resource in task.resources:
-                    start = max(start, resource.available_at)
+        # The tasks without dependencies form the group of ``()``.
+        roots = self._groups.get(())
+        released: List[int] = (
+            [] if roots is None else [first_member[roots], *more_members.get(roots, ())]
+        )
+        now = 0.0
+        while True:
+            for index in released:
+                task = tasks[index]
+                start = now
+                resources = task.resources
+                for resource in resources:
+                    available = resource.available_at
+                    if available > start:
+                        start = available
+                end = start + task.duration
+                for resource in resources:
+                    resource.available_at = end
                 task.start = start
-                task.end = start + task.duration
-                for resource in task.resources:
-                    resource.available_at = task.end
-                heapq.heappush(
-                    completion_events, (task.end, next(self._counter), task)
-                )
-
-            if not completion_events:
+                task.end = end
+                push(events, (end, next(counter), index))
+            if not events:
                 break
-            end_time, _, finished = heapq.heappop(completion_events)
+            now, _, finished = pop(events)
             completed += 1
-            for dependant in dependants[finished]:
-                remaining_deps[dependant] -= 1
-                if remaining_deps[dependant] == 0:
-                    ready_at = max(
-                        dep.end for dep in dependant.deps if dep.end is not None
-                    )
-                    heapq.heappush(
-                        ready_queue, (ready_at, next(self._counter), dependant)
-                    )
+            released.clear()
+            waiting = dependants.get(finished)
+            if waiting is None:
+                continue
+            if waiting.__class__ is int:
+                waiting = (waiting,)
+            merged = False
+            for group in waiting:
+                left = pending[group] - 1
+                pending[group] = left
+                if not left:
+                    if released:
+                        merged = True
+                    released.append(first_member[group])
+                    more = more_members.get(group)
+                    if more is not None:
+                        released.extend(more)
+            if merged:
+                released.sort()
 
-        if completed != len(self._tasks):
-            unscheduled = [t.name for t in self._tasks if t.end is None]
+        if completed != len(tasks):
+            unscheduled = [task.name for task in tasks if task.end is None]
             raise SimulationError(
                 f"task graph contains a dependency cycle; unscheduled tasks: {unscheduled}"
             )
-
-        scheduled = tuple(
-            ScheduledTask(name=t.name, start=t.start, end=t.end, tags=t.tags)
-            for t in self._tasks
+        # ``tuple.__new__`` mapped over zipped columns builds every record
+        # in C (``ScheduledTask`` is a named tuple).
+        records = zip(
+            map(_name, tasks), map(_start, tasks), map(_end, tasks), map(_tags, tasks)
         )
-        return Schedule(tasks=scheduled)
+        return Schedule(
+            tasks=tuple(map(tuple.__new__, itertools.repeat(ScheduledTask), records))
+        )
+
+
+_name = attrgetter("name")
+_start = attrgetter("start")
+_end = attrgetter("end")
+_tags = attrgetter("tags")

@@ -1,18 +1,13 @@
 """Routed flow plans of the contention-aware ``"network"`` engine.
 
-Where the analytic engine serializes all compute on one aggregate
-``array-pu`` resource and models each hierarchy level as one aggregate
+Where the analytic engine models each hierarchy level as one aggregate
 link, the network fabric of :class:`~repro.sim.training.TrainingSimulator`
-instantiates the *physical* platform from the
-:class:`~repro.interconnect.Topology`:
-
-* one PU resource per device (``pu-0`` .. ``pu-N-1``); a layer pass runs in
-  lock-step across the array, so a compute task occupies every PU for the
-  per-accelerator duration -- but communication tasks occupy *links only*,
-  which lets the PUs compute while exchanges are in flight;
-* one resource per physical link of ``topology.links()``
-  (accelerator-switch and accelerator-accelerator links alike), named by
-  :func:`link_name` and carrying that link's bandwidth.
+routes every exchange over the *physical* links of the
+:class:`~repro.interconnect.Topology`.  Both engines run compute on one
+``array-pu`` resource: a layer pass runs in lock-step across the array, so
+every PU would always be free at the same time -- and communication tasks
+occupy links only, which lets the array compute while exchanges are in
+flight.
 
 A pair boundary's exchange at hierarchy level ``h`` is routed as the
 shortest-path flows between the paired devices (``left[i] <-> right[i]``,
@@ -26,6 +21,14 @@ model's per-level aggregate cannot express: on the H tree the binary-tree
 traffic pattern gets dedicated links and the two engines agree bit-tight,
 while on the torus same-level boundaries zig-zag across shared mesh links
 and the network engine charges the resulting serialization.
+
+The simulator holds one resource per *link class*, not per link: a class
+is the set of links that exactly the same boundaries claim (see
+:func:`link_classes`).  Every task that claims one link of a class claims
+all of them, so they are always free at the same time and one resource
+stands for them exactly.  On both topologies the boundaries claim
+``N - 1`` classes, one per boundary; on the H tree that halves the links
+a boundary holds.
 
 Both engines build the same task graph with one builder
 (``TrainingSimulator._run_step``).  Besides its resources, the network
@@ -73,24 +76,29 @@ class _PairPlan:
     ``num_flows`` is the number of device pairs exchanging (half the group
     size).  The per-link byte load of a ``per_pair``-byte exchange is
     ``count * per_pair / num_flows`` (each flow carries an equal share,
-    both directions traverse the same undirected links).
+    both directions traverse the same undirected links).  ``shape`` is
+    ``(num_flows, distinct (bandwidth, count) loads)``, all the duration
+    depends on, and ``link_classes`` the indices into
+    :func:`link_classes` of the classes covering the boundary's links.
     """
 
-    __slots__ = ("link_loads", "num_flows")
+    __slots__ = ("link_loads", "num_flows", "shape", "link_classes")
 
     def __init__(
         self, link_loads: tuple[tuple[str, float, int], ...], num_flows: int
     ) -> None:
         self.link_loads = link_loads
         self.num_flows = num_flows
+        self.shape = (
+            num_flows,
+            tuple(sorted({(bandwidth, count) for _, bandwidth, count in link_loads})),
+        )
+        self.link_classes: tuple[int, ...] = ()
 
     def duration(self, per_pair_bytes: float) -> float:
         """Bottleneck transfer time of a ``per_pair_bytes`` exchange."""
         per_flow = per_pair_bytes / self.num_flows
-        return max(
-            count * per_flow / bandwidth
-            for _, bandwidth, count in self.link_loads
-        )
+        return max(count * per_flow / bandwidth for bandwidth, count in self.shape[1])
 
 
 def flow_plans(topology: Topology) -> list[list[_PairPlan]]:
@@ -98,16 +106,21 @@ def flow_plans(topology: Topology) -> list[list[_PairPlan]]:
 
     Cached on the topology instance next to its other derived-quantity
     caches: the links are immutable, and every simulated step of a sweep
-    reuses the same routes.
+    reuses the same routes.  The link classes are computed in the same
+    pass and cached with the plans.
     """
     plans = getattr(topology, "_network_flow_plans", None)
     if plans is not None:
         return plans
     adjacency = topology.adjacency
     plans = []
+    #: Per link, the (level, pair) boundaries whose routes cross it.
+    claimants: dict[str, list[tuple[int, int]]] = {}
     for level in range(topology.num_levels):
         level_plans = []
-        for left, right in hierarchical_groups(topology.num_accelerators, level):
+        for pair, (left, right) in enumerate(
+            hierarchical_groups(topology.num_accelerators, level)
+        ):
             loads: dict[str, list] = {}
             for a, b in zip(left, right):
                 path = topology.route(a, b)
@@ -116,6 +129,7 @@ def flow_plans(topology: Topology) -> list[list[_PairPlan]]:
                     entry = loads.get(key)
                     if entry is None:
                         loads[key] = [adjacency[u][v], 1]
+                        claimants.setdefault(key, []).append((level, pair))
                     else:
                         entry[1] += 1
             level_plans.append(
@@ -128,5 +142,34 @@ def flow_plans(topology: Topology) -> list[list[_PairPlan]]:
                 )
             )
         plans.append(level_plans)
+
+    class_of: dict[str, int] = {}
+    signatures: dict[tuple, int] = {}
+    classes: list[list[str]] = []
+    for u, v, _ in topology.links():
+        key = link_name(u, v)
+        index = signatures.setdefault(tuple(claimants.get(key, ())), len(classes))
+        if index == len(classes):
+            classes.append([])
+        classes[index].append(key)
+        class_of[key] = index
+    for level_plans in plans:
+        for plan in level_plans:
+            plan.link_classes = tuple(
+                dict.fromkeys(class_of[key] for key, _, _ in plan.link_loads)
+            )
+    topology._network_link_classes = [tuple(links) for links in classes]
     topology._network_flow_plans = plans
     return plans
+
+
+def link_classes(topology: Topology) -> list[tuple[str, ...]]:
+    """The link classes of ``topology``: its links grouped by claimants.
+
+    Two links are in one class when exactly the same pair boundaries of
+    :func:`flow_plans` route over them.  The classes partition
+    ``topology.links()`` (in laying order of each class's first link), and
+    each plan's ``link_classes`` covers exactly its ``link_loads`` links.
+    """
+    flow_plans(topology)
+    return topology._network_link_classes

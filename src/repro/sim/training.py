@@ -21,14 +21,16 @@ weighted layer -- and schedules it with the discrete-event engine:
 One builder (:meth:`TrainingSimulator._run_step`) serves both engines.  It
 takes a *fabric*, the engine's mapping of tasks onto resources:
 
-* ``"analytic"`` -- all compute serializes on one aggregate ``array-pu``
-  resource and each hierarchy level is one aggregate link running at the
-  effective bandwidth its topology gives a pair boundary; the gradient
+* ``"analytic"`` -- each hierarchy level is one aggregate link running at
+  the effective bandwidth its topology gives a pair boundary; the gradient
   all-reduce gates the predecessor layer's backward;
-* ``"network"`` -- per-device PUs and routed per-boundary flows on the
-  physical links (see :mod:`repro.sim.network`); a level's boundary waits
+* ``"network"`` -- routed per-boundary flows on the physical links, held
+  as link classes (see :mod:`repro.sim.network`); a level's boundary waits
   only on the deeper boundaries its group covers, and the gradient
   all-reduce drains off the backward chain.
+
+On both, all compute serializes on one ``array-pu`` resource: every
+accelerator runs its share of a layer pass in lock-step.
 
 Energy is accumulated analytically from the same quantities: arithmetic,
 on-chip buffer and local DRAM energy are identical under every strategy
@@ -64,7 +66,7 @@ from repro.nn.model import DNNModel
 from repro.sim.backend import validate_sim_engine
 from repro.sim.engine import EventDrivenEngine, Resource, Schedule, Task
 from repro.sim.metrics import EnergyBreakdown, PhaseBreakdown, TrainingStepReport
-from repro.sim.network import flow_plans
+from repro.sim.network import flow_plans, link_classes
 
 #: The three layer passes of training (Equations 1-3 of the paper).
 PHASES = ("forward", "backward", "gradient")
@@ -79,19 +81,25 @@ _TABLE_CACHE_LIMIT = 16
 
 
 class _Fabric(NamedTuple):
-    """One engine's mapping of a training step's tasks onto resources.
+    """One engine's mapping of a training step's exchanges onto resources.
 
-    ``compute`` is what every layer pass occupies.  ``boundaries[level]``
-    lists the tasks one exchange at that level splits into, as ``(name
-    suffix, resources, duration of a per-pair byte count, extra tags)``;
-    each waits on the deeper level's boundaries its group covers.
+    ``levels[level]`` is ``(durations, boundaries)``: ``boundaries`` lists
+    the tasks one exchange at that level splits into, as ``(name suffix,
+    resources, index into durations, extra tags)``, and each duration
+    function maps a per-pair byte count to seconds -- one per distinct
+    plan shape, so an exchange prices each shape once.  A boundary waits
+    on the deeper level's boundaries its group covers.
     ``overlap_gradient`` keeps the gradient computation and its
     all-reduce off the backward chain instead of gating the predecessor
     layer's backward on them.
     """
 
-    compute: tuple[Resource, ...]
-    boundaries: list[list[tuple[str, tuple[Resource, ...], Callable[[float], float], dict]]]
+    levels: list[
+        tuple[
+            list[Callable[[float], float]],
+            list[tuple[str, tuple[Resource, ...], int, dict]],
+        ]
+    ]
     overlap_gradient: bool
 
 
@@ -278,40 +286,41 @@ class TrainingSimulator:
         return cost_table.level_communication(assignment)
 
     def _fabric(self, engine: EventDrivenEngine, sim_engine: str) -> _Fabric:
-        """Map the step's tasks onto ``engine``'s resources for ``sim_engine``."""
+        """Map the step's exchanges onto ``engine``'s resources for ``sim_engine``."""
         levels = range(self.array.num_levels)
         if sim_engine == "network":
-            plans = flow_plans(self.topology) if self.topology is not None else []
-            return _Fabric(
-                compute=tuple(
-                    engine.resource(f"pu-{device}")
-                    for device in range(self.array.num_accelerators)
-                ),
-                boundaries=[
-                    [
+            if self.topology is None:
+                return _Fabric(levels=[], overlap_gradient=True)
+            plans = flow_plans(self.topology)
+            classes = [
+                engine.resource(f"link-class-{index}")
+                for index in range(len(link_classes(self.topology)))
+            ]
+            fabric_levels = []
+            for level in levels:
+                shapes: dict[tuple, int] = {}
+                durations = []
+                boundaries = []
+                for pair, plan in enumerate(plans[level]):
+                    shape = shapes.setdefault(plan.shape, len(durations))
+                    if shape == len(durations):
+                        durations.append(plan.duration)
+                    boundaries.append(
                         (
                             f"/p{pair}",
-                            tuple(engine.resource(key) for key, _, _ in plan.link_loads),
-                            plan.duration,
+                            tuple(classes[index] for index in plan.link_classes),
+                            shape,
                             {"pair": pair},
                         )
-                        for pair, plan in enumerate(plans[level])
-                    ]
-                    for level in levels
-                ],
-                overlap_gradient=True,
-            )
-        return _Fabric(
-            compute=(engine.resource("array-pu"),),
-            boundaries=[
-                [
-                    (
-                        "",
-                        (engine.resource(f"link-level-{level}"),),
-                        _transfer_time(self.topology.effective_pair_bandwidth(level)),
-                        {},
                     )
-                ]
+                fabric_levels.append((durations, boundaries))
+            return _Fabric(levels=fabric_levels, overlap_gradient=True)
+        return _Fabric(
+            levels=[
+                (
+                    [_transfer_time(self.topology.effective_pair_bandwidth(level))],
+                    [("", (engine.resource(f"link-level-{level}"),), 0, {})],
+                )
                 for level in levels
             ],
             overlap_gradient=False,
@@ -331,6 +340,7 @@ class TrainingSimulator:
         reference_accelerator = self.array.accelerators()[0]
         energy_model = self.array.energy_model
         engine = EventDrivenEngine()
+        compute = (engine.resource("array-pu"),)
         fabric = self._fabric(engine, sim_engine)
         level_hops = [self.topology.average_hops(level) for level in range(num_levels)]
 
@@ -370,7 +380,7 @@ class TrainingSimulator:
             task = engine.add_task(
                 f"{phase}/{layer.name}",
                 execution.seconds,
-                resources=fabric.compute,
+                resources=compute,
                 deps=deps,
                 tags={"phase": phase, "kind": "compute", "layer": layer.name},
             )
@@ -396,7 +406,7 @@ class TrainingSimulator:
             nonlocal comm_energy
             if not num_levels:
                 return deps  # a single accelerator exchanges nothing
-            previous: list[Task] | None = None
+            previous: tuple[Task, ...] | None = None
             gates: tuple[Task, ...] = ()
             for level in reversed(range(num_levels)):
                 per_pair = bytes_per_level[level]
@@ -407,10 +417,11 @@ class TrainingSimulator:
                 comm_energy += energy_model.communication_energy_bytes(
                     per_pair * num_pairs, level_hops[level]
                 )
-                boundaries = fabric.boundaries[level]
+                durations, boundaries = fabric.levels[level]
+                seconds = [duration(per_pair) for duration in durations]
                 firsts: list[Task] = []
                 lasts: list[Task] = []
-                for index, (suffix, resources, duration, tags) in enumerate(boundaries):
+                for index, (suffix, resources, shape, tags) in enumerate(boundaries):
                     if previous is None:
                         boundary_deps = deps
                     else:
@@ -420,7 +431,7 @@ class TrainingSimulator:
                         boundary_deps = previous[index * span : (index + 1) * span]
                     first, last = engine.add_microbatched_task(
                         f"{name}/L{level}{suffix}",
-                        duration(per_pair),
+                        seconds[shape],
                         chunks,
                         resources=resources,
                         deps=boundary_deps,
@@ -434,7 +445,7 @@ class TrainingSimulator:
                     )
                     firsts.append(first)
                     lasts.append(last)
-                previous = lasts
+                previous = tuple(lasts)
                 gates = tuple(firsts if chunks > 1 else lasts)
             if not gates:
                 # Zero-byte exchange: nothing occupies a link, but the

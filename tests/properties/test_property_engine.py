@@ -1,9 +1,28 @@
-"""Property-based tests for the discrete-event engine."""
+"""Property-based tests for the discrete-event engine.
+
+``TestMatchesTheKeptOracle`` checks the integer-id event loop against the
+loop it replaced, kept in ``tests/sim/engine_oracle.py``: both must give
+the same names, bit-identical start and end times and the same tags.
+"""
+
+import importlib.util
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import EventDrivenEngine
+
+
+def _load_oracle():
+    path = Path(__file__).resolve().parents[1] / "sim" / "engine_oracle.py"
+    spec = importlib.util.spec_from_file_location("engine_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run
+
+
+oracle_run = _load_oracle()
 
 durations = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 
@@ -109,3 +128,84 @@ class TestScheduleInvariants:
                 busy[resource] = busy.get(resource, 0.0) + duration
         for total_busy in busy.values():
             assert total_busy <= schedule.makespan + 1e-9
+
+
+@st.composite
+def tied_task_graphs(draw):
+    """Random DAGs aimed at every release path of the event loop.
+
+    Tasks often reuse an earlier deps tuple (one shared countdown for
+    several tasks), list a dependency twice, claim any subset of three
+    shared resources, split into micro-batch chunks, and draw durations
+    from a few values including zero, so ready and end times tie often.
+    """
+    num_tasks = draw(st.integers(min_value=1, max_value=24))
+    num_resources = draw(st.integers(min_value=0, max_value=3))
+    deps_pool = [()]
+    graph = []
+    for index in range(num_tasks):
+        if draw(st.booleans()):
+            deps = draw(st.sampled_from(deps_pool))
+        else:
+            deps = tuple(
+                draw(
+                    st.lists(
+                        st.integers(min_value=0, max_value=index - 1),
+                        max_size=min(index, 4),
+                    )
+                )
+            ) if index else ()
+            deps_pool.append(deps)
+        resources = tuple(
+            draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=num_resources - 1),
+                    max_size=num_resources,
+                    unique=True,
+                )
+            )
+        ) if num_resources else ()
+        duration = draw(st.sampled_from((0.0, 0.5, 1.0, 1.5, 3.0)))
+        chunks = draw(st.sampled_from((1, 1, 1, 2, 3)))
+        graph.append((duration, deps, resources, chunks))
+    return graph
+
+
+def _build_tied(graph) -> EventDrivenEngine:
+    engine = EventDrivenEngine()
+    lasts = []
+    for index, (duration, deps, resources, chunks) in enumerate(graph):
+        _, last = engine.add_microbatched_task(
+            f"t{index}",
+            duration,
+            chunks,
+            resources=tuple(engine.resource(f"r{r}") for r in resources),
+            deps=tuple(lasts[d] for d in deps),
+            tags={"index": index, "chunks": chunks},
+        )
+        lasts.append(last)
+    return engine
+
+
+def _timings(schedule):
+    return [
+        (task.name, task.start.hex(), task.end.hex(), task.tags)
+        for task in schedule.tasks
+    ]
+
+
+class TestMatchesTheKeptOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_task_graphs())
+    def test_tied_graphs(self, graph):
+        expected = _timings(oracle_run(_build_tied(graph)))
+        assert _timings(_build_tied(graph).run()) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_task_graphs())
+    def test_random_durations(self, graph):
+        oracle_engine = EventDrivenEngine()
+        _build(oracle_engine, graph)
+        engine = EventDrivenEngine()
+        _build(engine, graph)
+        assert _timings(engine.run()) == _timings(oracle_run(oracle_engine))

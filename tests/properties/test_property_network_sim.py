@@ -9,6 +9,11 @@ step time bit for bit, on every model of the zoo.  Where the engines are
 allowed to differ, the difference must have one sign: every network-engine
 scheduling change is a relaxation, so on contention-free H-tree routes the
 network step never exceeds the analytic one.
+
+``TestLinkClasses`` checks that the simulator's one resource per link
+class stands for its links exactly: the classes partition the topology's
+links, each plan's classes cover exactly its routed links, and the links
+of one class are crossed by exactly the same boundaries.
 """
 
 import pytest
@@ -18,6 +23,7 @@ from repro.core.baselines import data_parallelism, model_parallelism
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.interconnect import HTreeTopology, TorusTopology
 from repro.nn.model_zoo import all_models, gpt_r
+from repro.sim.network import flow_plans, link_classes, link_name
 from repro.sim.training import TrainingSimulator
 
 
@@ -98,3 +104,33 @@ class TestRelaxationDirection:
         actual = network.simulate(model, assignment, 256, "dp")
         assert actual.energy_joules == expected.energy_joules
         assert actual.communication_bytes == expected.communication_bytes
+
+
+class TestLinkClasses:
+    SIZES = (2, 4, 8, 16, 32, 64, 128, 256)
+
+    @pytest.mark.parametrize("topology_type", [HTreeTopology, TorusTopology])
+    @pytest.mark.parametrize("num_accelerators", SIZES)
+    def test_classes_are_exact(self, topology_type, num_accelerators):
+        topology = topology_type(num_accelerators, 200e6)
+        plans = [plan for level in flow_plans(topology) for plan in level]
+        classes = link_classes(topology)
+
+        members = [link for links in classes for link in links]
+        assert len(members) == len(set(members))
+        assert set(members) == {link_name(u, v) for u, v, _ in topology.links()}
+
+        claimants: dict[str, set[int]] = {link: set() for link in members}
+        for index, plan in enumerate(plans):
+            routed = {key for key, _, _ in plan.link_loads}
+            covered = {link for k in plan.link_classes for link in classes[k]}
+            assert covered == routed
+            for link in routed:
+                claimants[link].add(index)
+        signatures = [frozenset(claimants[links[0]]) for links in classes]
+        assert len(set(signatures)) == len(classes)
+        for links, signature in zip(classes, signatures):
+            assert all(claimants[link] == signature for link in links)
+        # One claimed class per pair boundary.
+        claimed = {k for plan in plans for k in plan.link_classes}
+        assert len(claimed) == num_accelerators - 1

@@ -7,6 +7,7 @@ directly where HTTP adds nothing (eviction, concurrency).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -338,6 +339,25 @@ class TestServeLifecycle:
         stop.set()
         thread.join(10.0)
         assert codes == [0]
+
+    def test_serve_freezes_the_boot_heap_until_it_returns(self):
+        ready = threading.Event()
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=serve,
+            kwargs={"port": 0, "ready": ready, "stop": stop, "install_signal_handlers": False},
+        )
+        thread.start()
+        try:
+            assert ready.wait(10.0)
+            frozen_while_serving = gc.get_freeze_count()
+        finally:
+            stop.set()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        assert frozen_while_serving > 0
+        # An embedder gets its collector back once serve() returns.
+        assert gc.get_freeze_count() == 0
 
     def test_serve_handles_sigterm_in_the_main_thread(self):
         # The real CI/ops teardown path: SIGTERM against a serving daemon.

@@ -119,6 +119,24 @@ class TestValidationAndReporting:
         with pytest.raises(ValueError):
             EventDrivenEngine().add_task("bad", -1.0)
 
+    def test_nan_duration_rejected(self):
+        # A NaN end time would unorder the completion heap.
+        with pytest.raises(ValueError):
+            EventDrivenEngine().add_task("bad", float("nan"))
+
+    def test_foreign_dependency_with_a_local_name_rejected(self):
+        engine = EventDrivenEngine()
+        local = engine.add_task("a", 1.0)
+        foreign = EventDrivenEngine().add_task("a", 1.0)
+        with pytest.raises(SimulationError):
+            engine.add_task("b", 1.0, deps=(local, foreign))
+        # The rejected task left nothing behind: its name and its deps
+        # tuple's countdown are still free.
+        engine.add_task("b", 2.0, deps=(local, local))
+        schedule = engine.run()
+        assert [task.name for task in schedule.tasks] == ["a", "b"]
+        assert schedule.task("b").start == 1.0
+
     def test_missing_task_lookup_raises(self):
         engine = EventDrivenEngine()
         engine.add_task("x", 1.0)

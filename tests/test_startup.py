@@ -2,8 +2,9 @@
 
 Most of a cold command's time is imports, so these tests pin what a fresh
 interpreter loads: the commands run without networkx (a test-only
-oracle), serial commands load no process-pool machinery, and ``import
-repro`` loads none of the heavier subpackages.
+oracle), serial commands load no process-pool machinery, the DAG search
+loads no ``numpy.ma``, and ``import repro`` loads none of the heavier
+subpackages.
 Each check runs in a fresh subprocess, since this process has long since
 imported everything.
 """
@@ -35,16 +36,17 @@ WITHOUT_NETWORKX = (
 )
 
 
-#: ``python -m repro`` that then prints which process-pool modules loaded.
-POOL_PROBE = (
+#: ``python -m repro`` that then prints which of the modules named in its
+#: first argument (comma-separated) loaded.
+LOADED_PROBE = (
     "import runpy, sys\n"
+    "probed = sys.argv.pop(1).split(',')\n"
     "try:\n"
     "    runpy.run_module('repro', run_name='__main__')\n"
     "except SystemExit as stop:\n"
     "    if stop.code:\n"
     "        raise\n"
-    "print('POOL', ' '.join(name for name in "
-    "('concurrent.futures.process', 'multiprocessing') if name in sys.modules))\n"
+    "print('LOADED', ' '.join(name for name in probed if name in sys.modules))\n"
 )
 
 
@@ -71,7 +73,18 @@ def test_import_repro_loads_no_heavy_subpackage():
     assert probe.stdout.strip() == ""
 
 
+def _loaded(argv: list[str], *modules: str) -> list[str]:
+    """Which of ``modules`` a fresh ``python -m repro *argv`` loaded."""
+    probe = _python("-c", LOADED_PROBE, ",".join(modules), *argv)
+    return probe.stdout.splitlines()[-1].split()[1:]
+
+
 @pytest.mark.parametrize("argv", [["partition", "VGG-E"], ["sweep", "smoke"]], ids=" ".join)
 def test_serial_command_loads_no_process_pool(argv):
-    probe = _python("-c", POOL_PROBE, *argv)
-    assert probe.stdout.splitlines()[-1].split() == ["POOL"]
+    assert _loaded(argv, "concurrent.futures.process", "multiprocessing") == []
+
+
+def test_dag_search_loads_no_numpy_ma():
+    """The cut-vertex search (gpt_r) must not reach ``np.unique``, whose
+    NumPy 2 implementation imports ``numpy.ma`` on first use."""
+    assert _loaded(["partition", "gpt_r-8"], "numpy.ma") == []
