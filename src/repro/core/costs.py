@@ -75,6 +75,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import functools
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -194,6 +195,79 @@ def _advance_chain_numpy(
         frontiers[layer] = com
 
 
+def _advance_chain_floats(
+    intra: np.ndarray,
+    inter: np.ndarray,
+    parents: np.ndarray,
+    frontiers: np.ndarray,
+    start: int,
+    stop: int,
+) -> None:
+    """:func:`_advance_chain_numpy` stepped on Python floats.
+
+    With ``K <= 3`` strategies a layer's step is a handful of scalar adds
+    and compares, which Python floats do faster than NumPy runs its seven
+    small-array calls.  The adds are the same, in the same order, and each
+    destination code keeps its first minimum, as ``np.argmin`` picks it.
+    That holds for finite values only (``np.argmin`` returns the first
+    NaN, which ``<`` never selects), so a block holding a NaN or an
+    infinity -- a finite sum proves there is none -- steps on the NumPy
+    loop, which stays the oracle of this one.
+    """
+    num_strategies = intra.shape[1]
+    if stop <= start:
+        return
+    com = frontiers[start - 1]
+    intra_block = intra[start:stop]
+    inter_block = inter[start - 1 : stop - 1]
+    if num_strategies > 3 or not math.isfinite(
+        float(com.sum()) + float(intra_block.sum()) + float(inter_block.sum())
+    ):
+        _advance_chain_numpy(intra, inter, parents, frontiers, start, stop)
+        return
+    parent_rows = []
+    frontier_rows = []
+    if num_strategies == 2:
+        com0, com1 = com.tolist()
+        for (from0, from1), (intra0, intra1) in zip(
+            inter_block.tolist(), intra_block.tolist()
+        ):
+            best0 = com0 + from0[0]
+            other = com1 + from1[0]
+            choice0 = 0
+            if other < best0:
+                best0, choice0 = other, 1
+            best1 = com0 + from0[1]
+            other = com1 + from1[1]
+            choice1 = 0
+            if other < best1:
+                best1, choice1 = other, 1
+            com0 = best0 + intra0
+            com1 = best1 + intra1
+            parent_rows.append((choice0, choice1))
+            frontier_rows.append((com0, com1))
+    else:
+        codes = range(num_strategies)
+        values = com.tolist()
+        for rows, row_intra in zip(inter_block.tolist(), intra_block.tolist()):
+            choices = []
+            advanced = []
+            for code in codes:
+                best = values[0] + rows[0][code]
+                choice = 0
+                for source in codes[1:]:
+                    candidate = values[source] + rows[source][code]
+                    if candidate < best:
+                        best, choice = candidate, source
+                choices.append(choice)
+                advanced.append(best + row_intra[code])
+            values = advanced
+            parent_rows.append(choices)
+            frontier_rows.append(advanced)
+    parents[start - 1 : stop - 1] = parent_rows
+    frontiers[start:stop] = frontier_rows
+
+
 def _chain_advancer(backend: str):
     """The layer-advancement routine for a resolved backend name.
 
@@ -203,7 +277,7 @@ def _chain_advancer(backend: str):
     """
     if backend in kernels.COMPILED_BACKENDS and kernels.NUMBA_AVAILABLE:
         return kernels.chain_dp_compiled
-    return _advance_chain_numpy
+    return _advance_chain_floats
 
 
 def _detect_periodic_region(
@@ -444,6 +518,232 @@ def _normalize_edges(
     if edges is None:
         return _chain_edges(num_layers)
     return tuple((int(source), int(destination)) for source, destination in edges)
+
+
+@functools.lru_cache(maxsize=64)
+def _digit_patterns(base: int, digits: int) -> np.ndarray:
+    """Read-only ``(base**digits, digits)`` matrix of every low-digit pattern.
+
+    Row ``r`` holds the base-``base`` digits of ``r`` (least significant
+    first): the decoded codes of one enumeration chunk of a cut segment.
+    """
+    patterns = _decode_digits(np.arange(base**digits, dtype=np.int64), digits, base)
+    patterns.setflags(write=False)
+    return patterns
+
+
+class _TableLayout:
+    """The edge structure of a layer DAG, derived once per table.
+
+    Everything here depends on the edge list alone, never on costs, so a
+    :class:`HierarchicalCostTable` builds one layout and hands it to every
+    level table it gathers; a standalone :class:`CostTable` builds its own
+    on first use.  It holds the normalized edges, the chain flag and the
+    destination buckets behind :meth:`CostTable._edges_into`.  For a DAG
+    it also holds the cut vertices, the cut segments with their local
+    edges, one shape id per segment (equal ids: equal layer span and equal
+    local edge endpoints) and the index arrays that the periodic-block
+    detector and the one-pass segment advance gather with.
+    """
+
+    def __init__(self, edges: tuple[tuple[int, int], ...], num_layers: int) -> None:
+        self.edges = edges
+        self.num_layers = num_layers
+        self.is_chain = edges == _chain_edges(num_layers)
+        # Edge indices stably sorted by destination, and their destinations:
+        # the edges into a contiguous destination range are one bisected
+        # slice.  Canonical edge lists are destination-ordered already.
+        self.edge_order = sorted(range(len(edges)), key=lambda e: edges[e][1])
+        self.edge_destinations = [edges[e][1] for e in self.edge_order]
+        #: Source layer per edge: an edge's boundary tensors (and scale
+        #: state) are its source's.
+        self.edge_sources = np.array([source for source, _ in edges], dtype=np.intp)
+        self._segment_plans: dict[tuple[int, int], tuple] = {}
+
+    def edges_into(self, first: int, last: int) -> list[int]:
+        """Indices, in canonical order, of the edges with ``first < dst <= last``."""
+        destinations = self.edge_destinations
+        selected = self.edge_order[
+            bisect.bisect_right(destinations, first) : bisect.bisect_right(
+                destinations, last
+            )
+        ]
+        selected.sort()  # canonical order; already sorted for canonical lists
+        return selected
+
+    def local_edges(
+        self, block_start: int, block_end: int
+    ) -> list[tuple[int, int, int]]:
+        """``(edge_index, local_source, local_destination)`` of one block.
+
+        Local coordinates are relative to ``block_start``; an edge belongs
+        to the block that contains its destination.
+        """
+        edges = self.edges
+        return [
+            (edge_index, edges[edge_index][0] - block_start, edges[edge_index][1] - block_start)
+            for edge_index in self.edges_into(block_start, block_end)
+        ]
+
+    @functools.cached_property
+    def kernel_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(edge_index, source, destination)`` arrays for the DAG kernels.
+
+        Grouped by destination with a *stable* sort, so each merge layer's
+        incoming edges keep their canonical relative order and the
+        kernels' per-destination accumulation is bit-exact with the NumPy
+        edge loop.
+        """
+        edge_index = np.array(self.edge_order, dtype=np.int64)
+        edge_source = np.array(
+            [self.edges[e][0] for e in self.edge_order], dtype=np.int64
+        )
+        edge_destination = np.array(self.edge_destinations, dtype=np.int64)
+        return edge_index, edge_source, edge_destination
+
+    @functools.cached_property
+    def cuts(self) -> list[int]:
+        """Layers no edge jumps across (see :meth:`CostTable.cut_vertices`)."""
+        interior = [False] * self.num_layers
+        for source, destination in self.edges:
+            for vertex in range(source + 1, destination):
+                interior[vertex] = True
+        return [vertex for vertex in range(self.num_layers) if not interior[vertex]]
+
+    @functools.cached_property
+    def segments(self) -> list[tuple[int, int]]:
+        """Consecutive cut-vertex pairs: the blocks of the cut-vertex DP."""
+        return list(zip(self.cuts, self.cuts[1:]))
+
+    @functools.cached_property
+    def _segment_shapes(self) -> tuple[np.ndarray, list[tuple]]:
+        return self._shapes_of(self.segments)
+
+    def block_shapes(
+        self, blocks: list[tuple[int, int]]
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        """Shape ids and per-shape gather indices of a block list.
+
+        Returns ``(shape_ids, groups)``: ``shape_ids[b]`` is equal for two
+        blocks exactly when they span the same number of layers and have
+        the same local edge endpoints, in order.  ``groups`` holds one
+        ``(positions, intra_rows, edge_rows)`` per shape: the blocks of
+        that shape, each block's layers past its entering cut vertex and
+        each block's local edges, as index arrays whose row ``i`` belongs
+        to block ``positions[i]``.  Computed once for the table's own cut
+        segments.
+        """
+        if blocks == self.segments:
+            return self._segment_shapes
+        return self._shapes_of(blocks)
+
+    def _shapes_of(
+        self, blocks: list[tuple[int, int]]
+    ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        shape_ids: dict[tuple, int] = {}
+        members: list[list[int]] = []
+        ids = np.empty(len(blocks), dtype=np.int64)
+        edge_lists = []
+        for position, (block_start, block_end) in enumerate(blocks):
+            local_edges = self.local_edges(block_start, block_end)
+            edge_lists.append([edge_index for edge_index, _, _ in local_edges])
+            shape = (
+                block_end - block_start,
+                tuple((source, destination) for _, source, destination in local_edges),
+            )
+            shape_id = shape_ids.setdefault(shape, len(shape_ids))
+            if shape_id == len(members):
+                members.append([])
+            members[shape_id].append(position)
+            ids[position] = shape_id
+        groups = []
+        for positions in members:
+            groups.append(
+                (
+                    np.array(positions, dtype=np.intp),
+                    np.array(
+                        [
+                            range(blocks[position][0] + 1, blocks[position][1] + 1)
+                            for position in positions
+                        ],
+                        dtype=np.intp,
+                    ),
+                    np.array(
+                        [edge_lists[position] for position in positions], dtype=np.intp
+                    ),
+                )
+            )
+        return ids, groups
+
+    def segment_plan(self, block_start: int, block_end: int) -> tuple:
+        """Gather indices of one block for :func:`_segment_totals`, cached.
+
+        ``(local_edges, intra_rows, edge_index, edge_source,
+        edge_destination, ranks)``: the block's layers past its entering
+        cut vertex, its local edges as arrays, and the edges grouped by
+        their rank among the edges into the same destination (rank ``r``
+        holds each merge layer's ``r``-th incoming edge in canonical
+        order, so no destination repeats within a rank) as ``(positions,
+        columns)`` pairs.
+        """
+        key = (block_start, block_end)
+        plan = self._segment_plans.get(key)
+        if plan is None:
+            local_edges = self.local_edges(block_start, block_end)
+            ranks: list[tuple[list[int], list[int]]] = []
+            seen: dict[int, int] = {}
+            for position, (_, _, destination) in enumerate(local_edges):
+                rank = seen.get(destination, 0)
+                seen[destination] = rank + 1
+                if rank == len(ranks):
+                    ranks.append(([], []))
+                ranks[rank][0].append(position)
+                ranks[rank][1].append(destination - 1)
+            plan = self._segment_plans[key] = (
+                local_edges,
+                np.arange(block_start + 1, block_end + 1, dtype=np.intp),
+                np.array([edge for edge, _, _ in local_edges], dtype=np.intp),
+                np.array([source for _, source, _ in local_edges], dtype=np.intp),
+                np.array([dest for _, _, dest in local_edges], dtype=np.intp),
+                [
+                    (np.array(positions, dtype=np.intp), np.array(columns, dtype=np.intp))
+                    for positions, columns in ranks
+                ],
+            )
+        return plan
+
+
+def _segment_totals(
+    intra: np.ndarray,
+    inter: np.ndarray,
+    com: np.ndarray,
+    decoded: np.ndarray,
+    plan: tuple,
+) -> np.ndarray:
+    """Totals of a cut segment's decoded ``(N, B)`` code patterns.
+
+    Column 0 carries the accumulated prefix cost of the entering cut
+    vertex (its own terms are already inside ``com``); every later layer
+    adds ``intra + ((0 + inter_1) + inter_2 ...)`` over its incoming edges
+    in canonical order, left to right -- the association of the batched
+    scorer and of the object path.  One fancy index gathers every intra
+    term and one every edge term.
+    """
+    _, intra_rows, edge_index, edge_source, edge_destination, ranks = plan
+    later = decoded[:, 1:]
+    per_layer = intra[intra_rows, later]
+    inter_acc = np.zeros_like(per_layer)
+    if ranks:
+        terms = inter[
+            edge_index, decoded[:, edge_source], decoded[:, edge_destination]
+        ]
+        for positions, columns in ranks:
+            inter_acc[:, columns] += terms[:, positions]
+    per_layer += inter_acc
+    totals = com[decoded[:, 0]]
+    for column in per_layer.T:
+        totals += column
+    return totals
 
 
 class _Amounts:
@@ -766,57 +1066,41 @@ class CostTable:
     strategies: StrategySpace = DEFAULT_SPACE
     edges: tuple[tuple[int, int], ...] | None = None
     backend: str | None = None
+    #: The edge structure shared by the level tables of one
+    #: :class:`HierarchicalCostTable`, which pass it without ``edges``;
+    #: ``None`` builds the table's own on first use.
+    _layout: "_TableLayout | None" = dataclasses.field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "edges", _normalize_edges(self.edges, len(self.tensors))
-        )
+        if self._layout is not None and self.edges is None:
+            edges = self._layout.edges
+        else:
+            edges = _normalize_edges(self.edges, len(self.tensors))
+            layout = self._layout
+            if layout is not None and (
+                edges != layout.edges or len(self.tensors) != layout.num_layers
+            ):
+                # ``dataclasses.replace`` with another structure.
+                object.__setattr__(self, "_layout", None)
+        object.__setattr__(self, "edges", edges)
         kernels.validate_backend(self.backend)
         kernels.warn_numba_fallback(self.backend)
 
-    @functools.cached_property
+    @property
+    def layout(self) -> _TableLayout:
+        """The table's edge structure (cut segments, edge buckets, shapes)."""
+        if self._layout is None:
+            object.__setattr__(self, "_layout", _TableLayout(self.edges, self.num_layers))
+        return self._layout
+
+    @property
     def is_chain(self) -> bool:
         """True when the edge list is the historical linear chain."""
-        return self.edges == _chain_edges(self.num_layers)
-
-    @functools.cached_property
-    def _edges_by_destination(self) -> tuple[list[int], list[int]]:
-        """Edge indices stably sorted by destination, and their destinations.
-
-        Canonical edge lists are destination-ordered already, so the order
-        is normally the identity; either way the edges into a contiguous
-        destination range are one bisected slice (:meth:`_edges_into`).
-        """
-        order = sorted(range(len(self.edges)), key=lambda e: self.edges[e][1])
-        return order, [self.edges[e][1] for e in order]
+        return self.layout.is_chain
 
     def _edges_into(self, first: int, last: int) -> list[int]:
         """Indices, in canonical order, of the edges with ``first < dst <= last``."""
-        order, destinations = self._edges_by_destination
-        selected = order[
-            bisect.bisect_right(destinations, first) : bisect.bisect_right(
-                destinations, last
-            )
-        ]
-        selected.sort()  # canonical order; already sorted for canonical lists
-        return selected
-
-    @functools.cached_property
-    def _kernel_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(edge_index, source, destination)`` arrays for the DAG kernels.
-
-        Grouped by destination with a *stable* sort, so each merge
-        layer's incoming edges keep their canonical relative order and
-        the kernels' per-destination accumulation is bit-exact with the
-        NumPy edge loop.
-        """
-        order, destinations = self._edges_by_destination
-        edge_index = np.array(order, dtype=np.int64)
-        edge_source = np.array(
-            [self.edges[e][0] for e in order], dtype=np.int64
-        )
-        edge_destination = np.array(destinations, dtype=np.int64)
-        return edge_index, edge_source, edge_destination
+        return self.layout.edges_into(first, last)
 
     # ------------------------------------------------------------------
     # Construction.
@@ -977,11 +1261,7 @@ class CostTable:
         chain every layer does.  Consecutive cut vertices delimit the
         *branch interiors* the DAG dynamic program enumerates.
         """
-        interior = [False] * self.num_layers
-        for source, destination in self.edges:
-            for vertex in range(source + 1, destination):
-                interior[vertex] = True
-        return [vertex for vertex in range(self.num_layers) if not interior[vertex]]
+        return list(self.layout.cuts)
 
     def _dp_partition_dag(self, *, memoize: bool = True) -> PartitionResult:
         """Cut-vertex dynamic program with batched branch-interior enumeration.
@@ -1017,8 +1297,7 @@ class CostTable:
         full enumeration for oracle runs.
         """
         num_strategies = self.num_strategies
-        cuts = self.cut_vertices()
-        blocks = list(zip(cuts, cuts[1:]))
+        blocks = self.layout.segments
         com = self.intra[0].copy()  # layer 0 has no incoming edges
         block_plans: list[tuple[int, int, int, np.ndarray]] = []
         detected = None
@@ -1059,10 +1338,12 @@ class CostTable:
 
         last = int(np.argmin(com))  # tie -> lowest code
         total = float(com[last])
-        codes_per_layer = np.zeros(self.num_layers, dtype=np.int64)
-        codes_per_layer[cuts[-1]] = last
+        # Backtrack over Python ints, as the chain DP does: scalar ndarray
+        # indexing costs several times more per step.
+        codes_per_layer = [0] * self.num_layers
+        codes_per_layer[-1] = last  # the last layer is always a cut vertex
         for block_start, block_end, interior_count, argmin_rest in reversed(block_plans):
-            rest = int(argmin_rest[codes_per_layer[block_end]])
+            rest = argmin_rest.item(codes_per_layer[block_end])
             codes_per_layer[block_start] = rest % num_strategies
             rest //= num_strategies
             for offset in range(interior_count):
@@ -1070,9 +1351,7 @@ class CostTable:
                 rest //= num_strategies
 
         members = self.strategies.members
-        assignment = LayerAssignment(
-            tuple(members[int(code)] for code in codes_per_layer)
-        )
+        assignment = LayerAssignment(tuple(members[code] for code in codes_per_layer))
         return self.lazy_result(assignment, total)
 
     def _block_local_edges(
@@ -1084,15 +1363,7 @@ class CostTable:
         to the block that contains its destination (the entering cut
         vertex's own incoming edges were settled by the previous block).
         """
-        edges = self.edges
-        return [
-            (
-                edge_index,
-                edges[edge_index][0] - block_start,
-                edges[edge_index][1] - block_start,
-            )
-            for edge_index in self._edges_into(block_start, block_end)
-        ]
+        return self.layout.local_edges(block_start, block_end)
 
     def _detect_periodic_blocks(
         self, blocks: list[tuple[int, int]]
@@ -1109,31 +1380,35 @@ class CostTable:
         the longest run wins and at least four full periods are required;
         returns ``None`` otherwise.
 
-        Each block is reduced once to a signature -- its shape plus its
-        cost entries as Python floats, which compare by value exactly like
-        ``np.array_equal`` (``0.0 == -0.0``; a NaN never matches) -- and
-        equal signatures share one integer id, so every period probe is a
-        single vectorized id comparison.
+        All blocks of one shape gather their intra rows and local-edge
+        inter tables into one row of a value matrix (the layout's index
+        arrays; rows of other shapes are zero-padded, and the shape ids
+        keep them apart), so every period probe is one vectorized
+        comparison of shifted rows.  Row ``==`` compares by value exactly
+        like ``np.array_equal`` (``0.0 == -0.0``; a NaN never matches).
         """
         num_blocks = len(blocks)
-        signature_ids: dict[tuple, int] = {}
-        ids = np.empty(num_blocks, dtype=np.int64)
-        for position, (block_start, block_end) in enumerate(blocks):
-            local_edges = self._block_local_edges(block_start, block_end)
-            signature = (
-                block_end - block_start,
-                tuple((source, destination) for _, source, destination in local_edges),
-                tuple(self.intra[block_start + 1 : block_end + 1].ravel().tolist()),
-                tuple(
-                    self.inter[[edge_index for edge_index, _, _ in local_edges]]
-                    .ravel()
-                    .tolist()
-                ),
+        shape_ids, groups = self.layout.block_shapes(blocks)
+        num_strategies = self.num_strategies
+        widths = [
+            intra_rows.shape[1] * num_strategies
+            + edge_rows.shape[1] * num_strategies * num_strategies
+            for _, intra_rows, edge_rows in groups
+        ]
+        values = np.zeros((num_blocks, max(widths, default=0)))
+        for (positions, intra_rows, edge_rows), width in zip(groups, widths):
+            rows = len(positions)
+            split = intra_rows.shape[1] * num_strategies
+            values[positions, :split] = self.intra[intra_rows].reshape(rows, split)
+            values[positions, split:width] = self.inter[edge_rows].reshape(
+                rows, width - split
             )
-            ids[position] = signature_ids.setdefault(signature, len(signature_ids))
 
         for period in range(1, min(_MAX_BLOCK_PERIOD, num_blocks // 4) + 1):
-            region = _periodic_run(ids[period:] == ids[:-period], period)
+            equal = (shape_ids[period:] == shape_ids[:-period]) & (
+                values[period:] == values[:-period]
+            ).all(axis=1)
+            region = _periodic_run(equal, period)
             if region is not None:
                 return region
         return None
@@ -1224,8 +1499,15 @@ class CostTable:
         candidate totals come from the numba block scorer
         (:func:`repro.core.kernels.dag_block_totals_compiled`, bit-exact
         with the NumPy body); chunking, dominance pruning and the
-        strict-``<`` end-code scan stay in shared NumPy code, so every
-        backend walks the identical sequence of comparisons.
+        strict-``<`` end-code scan stay in shared code, so every backend
+        walks the identical sequence of comparisons.
+
+        A segment that fits one chunk (every ``gpt_r`` segment does) is
+        one pass: its decoded patterns are the cached read-only pattern
+        matrix, :func:`_segment_totals` gathers its terms, and one
+        ``argmin`` over a ``(runs, run_length)`` view of the totals finds
+        each end code's first minimum.  Only a segment spanning several
+        chunks builds the lower bounds its dominance pruning needs.
         """
         num_strategies = self.num_strategies
         interior_count = block_end - block_start - 1
@@ -1238,7 +1520,8 @@ class CostTable:
                 f"the enumeration limit of {DEFAULT_MAX_BLOCK_PATTERNS}"
             )
         block_layers = interior_count + 2
-        block_edges = self._block_local_edges(block_start, block_end)
+        plan = self.layout.segment_plan(block_start, block_end)
+        block_edges = plan[0]
         use_kernel = kernels.compiled_active(self.backend)
         if use_kernel:
             # Group the block's edges by local destination (stably) for
@@ -1261,8 +1544,8 @@ class CostTable:
         # The block-end code is the most significant digit; patterns
         # split as ``rest + group_size * end_code``.
         group_size = num_patterns // num_strategies
-        best = np.full(num_strategies, np.inf)
-        best_rest = np.zeros(num_strategies, dtype=np.int64)
+        best = [np.inf] * num_strategies
+        best_rest = [0] * num_strategies
         # Digit-aligned chunking (largest K**free <= DEFAULT_CHUNK_SIZE)
         # keeps every chunk's high digits constant, enabling dominance
         # pruning.  Chunk boundaries never affect the result: the
@@ -1276,28 +1559,35 @@ class CostTable:
         ):
             chunk_span *= num_strategies
             free_digits += 1
-        # Lower-bound scaffolding over the free (low) digits: the
-        # cheapest prefix state, each free layer's cheapest intra
-        # entry, each free-internal edge's cheapest inter entry
-        # (costs are nonnegative byte counts, so per-term minima
-        # bound any completion from below).
-        free_floor = float(com.min())
-        for local in range(1, free_digits):
-            free_floor += float(self.intra[block_start + local].min())
-        fixed_edges = []
-        cross_into_fixed = []
-        cross_into_free = []
-        for edge_index, local_source, local_destination in block_edges:
-            if local_source < free_digits and local_destination < free_digits:
-                free_floor += float(self.inter[edge_index].min())
-            elif local_source >= free_digits:
-                fixed_edges.append((edge_index, local_source, local_destination))
-            elif local_destination >= free_digits:
-                cross_into_fixed.append((edge_index, local_destination))
-            else:  # pragma: no cover - edges run forward (source < dest)
-                cross_into_free.append((edge_index, local_source))
+        patterns = _digit_patterns(num_strategies, free_digits)
+        # Both spans are powers of K, so each chunk holds whole runs of
+        # one end code: ``K`` runs in a one-chunk segment, one otherwise.
+        run_length = min(chunk_span, group_size)
+        run_offsets = np.arange(chunk_span // run_length) * run_length
+        multi_chunk = free_digits < block_layers
+        if multi_chunk:
+            # Lower-bound scaffolding over the free (low) digits: the
+            # cheapest prefix state, each free layer's cheapest intra
+            # entry, each free-internal edge's cheapest inter entry
+            # (costs are nonnegative byte counts, so per-term minima
+            # bound any completion from below).
+            free_floor = float(com.min())
+            for local in range(1, free_digits):
+                free_floor += float(self.intra[block_start + local].min())
+            # Edges run forward (source < destination), so an edge is
+            # free-internal, fixed-internal or crosses into the fixed digits.
+            fixed_edges = []
+            cross_into_fixed = []
+            for edge_index, local_source, local_destination in block_edges:
+                if local_destination < free_digits:
+                    free_floor += float(self.inter[edge_index].min())
+                elif local_source >= free_digits:
+                    fixed_edges.append((edge_index, local_source, local_destination))
+                else:
+                    cross_into_fixed.append((edge_index, local_destination))
         for start in range(0, num_patterns, chunk_span):
-            if free_digits < block_layers:
+            decoded = patterns
+            if multi_chunk:
                 fixed = _decode_digits(
                     np.array([start // chunk_span], dtype=np.int64),
                     block_layers - free_digits,
@@ -1322,13 +1612,7 @@ class CostTable:
                             edge_index, :, fixed[local_destination - free_digits]
                         ].min()
                     )
-                for edge_index, local_source in cross_into_free:  # pragma: no cover
-                    bound += float(
-                        self.inter[
-                            edge_index, fixed[local_source - free_digits], :
-                        ].min()
-                    )
-                incumbent = float(best.max())
+                incumbent = max(best)
                 # Strictly-worse chunks cannot improve (or first-tie)
                 # any end code's running minimum; the margin absorbs
                 # the bound's different float association, keeping
@@ -1336,11 +1620,12 @@ class CostTable:
                 # enumeration.
                 if bound * (1.0 - _PRUNE_MARGIN) > incumbent:
                     continue
-            codes = np.arange(
-                start, min(start + chunk_span, num_patterns), dtype=np.int64
-            )
+                if not use_kernel:
+                    decoded = np.empty((chunk_span, block_layers), dtype=np.int64)
+                    decoded[:, :free_digits] = patterns
+                    decoded[:, free_digits:] = fixed
             if use_kernel:
-                totals = np.empty(codes.shape[0], dtype=np.float64)
+                totals = np.empty(chunk_span, dtype=np.float64)
                 kernels.dag_block_totals_compiled(
                     kernel_com,
                     kernel_intra,
@@ -1356,40 +1641,20 @@ class CostTable:
                     parallel=parallel,
                 )
             else:
-                decoded = _decode_digits(codes, block_layers, num_strategies)
-                # Column 0 carries the accumulated prefix cost (the cut
-                # vertex's own term is already inside ``com``); later
-                # columns carry ``intra + (sequential sum of incoming-edge
-                # inters)`` exactly like the batched scorer.
-                per_layer = np.empty((codes.shape[0], block_layers), dtype=np.float64)
-                per_layer[:, 0] = com[decoded[:, 0]]
-                for local in range(1, block_layers):
-                    per_layer[:, local] = self.intra[block_start + local][
-                        decoded[:, local]
-                    ]
-                inter_acc = np.zeros_like(per_layer)
-                for edge_index, local_source, local_destination in block_edges:
-                    inter_acc[:, local_destination] += self.inter[
-                        edge_index,
-                        decoded[:, local_source],
-                        decoded[:, local_destination],
-                    ]
-                per_layer[:, 1:] += inter_acc[:, 1:]
-                totals = _sequential_row_sum(per_layer)
-            end_codes = codes // group_size
-            # ``codes`` ascend, so each end code is one contiguous run of
-            # the chunk.  Strict ``<`` against the running minima keeps the
-            # first (lowest-pattern) winner across ascending chunks,
-            # matching the unchunked group-argmin tie rule.
-            bounds = (np.flatnonzero(end_codes[1:] != end_codes[:-1]) + 1).tolist()
-            for low, high in zip([0, *bounds], [*bounds, codes.shape[0]]):
-                end_code = end_codes[low]
-                subset = totals[low:high]
-                index = int(np.argmin(subset))
-                if subset[index] < best[end_code]:
-                    best[end_code] = subset[index]
-                    best_rest[end_code] = codes[low + index] % group_size
-        return best, best_rest
+                totals = _segment_totals(self.intra, self.inter, com, decoded, plan)
+            # Strict ``<`` against the running minima keeps the first
+            # (lowest-pattern) winner across ascending chunks, matching
+            # the unchunked group-argmin tie rule; ``argmin`` itself
+            # picks each run's first minimum.
+            firsts = totals.reshape(-1, run_length).argmin(axis=1) + run_offsets
+            first_end = start // group_size
+            for run, (position, value) in enumerate(
+                zip(firsts.tolist(), totals[firsts].tolist())
+            ):
+                if value < best[first_end + run]:
+                    best[first_end + run] = value
+                    best_rest[first_end + run] = (start + position) % group_size
+        return np.array(best), np.array(best_rest, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Batched scoring of candidate digit-patterns.
@@ -1459,7 +1724,7 @@ class CostTable:
                     parallel=parallel,
                 )
             else:
-                edge_index, edge_source, edge_destination = self._kernel_edges
+                edge_index, edge_source, edge_destination = self.layout.kernel_edges
                 kernels.score_decoded_dag_compiled(
                     np.ascontiguousarray(self.intra),
                     np.ascontiguousarray(self.inter),
@@ -1731,7 +1996,7 @@ class WarmStartDP:
         """
         if not table.is_chain:
             self.cold_solves += 1
-            return table.dp_partition()
+            return table.dp_partition(memoize=memoize)
         num_layers = table.num_layers
         num_strategies = table.num_strategies
         prefix = self._matching_prefix(table)
@@ -1849,19 +2114,15 @@ class HierarchicalCostTable:
         #: Canonical edge list of the model's layer DAG; the per-level
         #: ``inter`` arrays are indexed by it (chains keep the historical
         #: boundary indexing, edge ``e`` == boundary ``(e, e + 1)``).
-        self.edges: tuple[tuple[int, int], ...] = model.edges
-        self._is_chain = model.is_chain
-        self._edge_source = np.array([s for s, _ in self.edges], dtype=np.int64)
-        # Destination-grouped (stable) edge arrays for the compiled level
-        # scorers, mirroring CostTable._kernel_edges.
-        kernel_order = sorted(range(len(self.edges)), key=lambda e: self.edges[e][1])
-        self._kernel_edge_index = np.array(kernel_order, dtype=np.int64)
-        self._kernel_edge_source = np.array(
-            [self.edges[e][0] for e in kernel_order], dtype=np.int64
+        #: The edge structure every gathered level table shares: derived
+        #: once here instead of once per level table and search.
+        self._layout = _TableLayout(
+            _normalize_edges(model.edges, self.num_layers), self.num_layers
         )
-        self._kernel_edge_destination = np.array(
-            [self.edges[e][1] for e in kernel_order], dtype=np.int64
-        )
+        self.edges: tuple[tuple[int, int], ...] = self._layout.edges
+        self._is_chain = self._layout.is_chain
+        self._layer_range = np.arange(self.num_layers)
+        self._edge_range = np.arange(len(self.edges))
         #: Per destination layer: its incoming ``(edge_index, source)`` pairs
         #: in canonical (input) order, for per-edge gathers.
         self._incoming: list[list[tuple[int, int]]] = [
@@ -2013,20 +2274,30 @@ class HierarchicalCostTable:
     def state_indices(self, assignment: HierarchicalAssignment) -> np.ndarray:
         """Per-(level, layer) state indices implied by ``assignment``."""
         self._check_assignment(assignment)
-        states = np.zeros((self.num_levels, self.num_layers), dtype=np.int64)
-        if self.scaling_mode is not ScalingMode.PARALLELISM_AWARE:
-            return states
-        batch_counts = np.zeros(self.num_layers, dtype=np.int64)
-        weight_counts = np.zeros(self.num_layers, dtype=np.int64)
+        states = np.empty((self.num_levels, self.num_layers), dtype=np.int64)
+        descent = self.scale_descent()
         for level in range(self.num_levels):
-            states[level] = self._state_lut[level][batch_counts, weight_counts]
-            for layer, choice in enumerate(assignment[level]):
-                halves = strategy_spec(choice).halves
-                if halves == BATCH:
-                    batch_counts[layer] += 1
-                elif halves == WEIGHT:
-                    weight_counts[layer] += 1
+            states[level] = descent.states(level)
+            descent.advance(assignment[level])
         return states
+
+    def scale_descent(self) -> "_ScaleDescent":
+        """A fresh walk down the levels, every layer at the unscaled state."""
+        return _ScaleDescent(self)
+
+    def _level_codes(self, level_assignment: LayerAssignment) -> np.ndarray:
+        """The ``(L,)`` strategy codes of one level's assignment."""
+        try:
+            # ``tuple.index`` compares enum members by identity, in C.
+            return np.fromiter(
+                map(self.strategies.members.index, level_assignment.choices),
+                dtype=np.intp,
+                count=self.num_layers,
+            )
+        except ValueError:
+            for choice in level_assignment.choices:
+                self.strategies.code_of(choice)  # names the stray choice
+            raise
 
     def tensors_for_level(
         self, level: int, states: Sequence[int]
@@ -2054,12 +2325,11 @@ class HierarchicalCostTable:
             raise ValueError(
                 f"expected {self.num_layers} states, got {state_array.shape}"
             )
-        layer_range = np.arange(self.num_layers)
-        intra = self._intra[level][layer_range, state_array, :]
+        intra = self._intra[level][self._layer_range, state_array, :]
         # An edge's boundary tensors are its *source* layer's, so the edge
         # axis gathers the source's scale state (``[:-1]`` historically).
         inter = self._inter[level][
-            np.arange(len(self.edges)), state_array[self._edge_source], :, :
+            self._edge_range, state_array[self._layout.edge_sources], :, :
         ]
         return CostTable(
             intra=intra,
@@ -2067,8 +2337,8 @@ class HierarchicalCostTable:
             tensors=self.tensors_for_level(level, state_array),
             communication_model=self.communication_model,
             strategies=self.strategies,
-            edges=self.edges,
             backend=self.backend,
+            _layout=self._layout,
         )
 
     # ------------------------------------------------------------------
@@ -2171,6 +2441,8 @@ class HierarchicalCostTable:
         totals = np.zeros(num_candidates, dtype=np.float64)
         use_kernel = kernels.compiled_active(self.backend)
         parallel = kernels.parallel_active(self.backend)
+        if use_kernel:
+            edge_index, edge_source, edge_destination = self._layout.kernel_edges
         track_states = self.scaling_mode is ScalingMode.PARALLELISM_AWARE
         weight_counts = np.zeros((num_candidates, num_layers), dtype=np.int64)
         batch_counts = (
@@ -2200,9 +2472,9 @@ class HierarchicalCostTable:
                     float(1 << level),
                     totals,
                     is_chain=self._is_chain,
-                    edge_index=self._kernel_edge_index,
-                    edge_source=self._kernel_edge_source,
-                    edge_destination=self._kernel_edge_destination,
+                    edge_index=edge_index,
+                    edge_source=edge_source,
+                    edge_destination=edge_destination,
                     parallel=parallel,
                 )
             else:
@@ -2404,6 +2676,42 @@ class HierarchicalCostTable:
                 f"assignment covers {assignment.num_layers} layers, "
                 f"table has {self.num_layers}"
             )
+
+
+class _ScaleDescent:
+    """One walk down a :class:`HierarchicalCostTable`, level by level.
+
+    Keeps each layer's batch- and weight-halving counts as ``(L,)`` int64
+    arrays: a level's state indices are one gather from the table's
+    ``(b, w)`` lookup table, and a level's choices advance the counts by
+    one gather each from the per-code halving effects.  The search
+    (:class:`~repro.core.hierarchical.HierarchicalPartitioner`) and
+    :meth:`HierarchicalCostTable.state_indices` both walk through it.
+    Outside parallelism-aware scaling every state is 0.
+    """
+
+    __slots__ = ("_table", "_tracked", "_batch_counts", "_weight_counts")
+
+    def __init__(self, table: HierarchicalCostTable) -> None:
+        self._table = table
+        self._tracked = table.scaling_mode is ScalingMode.PARALLELISM_AWARE
+        self._batch_counts = np.zeros(table.num_layers, dtype=np.int64)
+        self._weight_counts = np.zeros(table.num_layers, dtype=np.int64)
+
+    def states(self, level: int) -> np.ndarray:
+        """The ``(L,)`` state indices of every layer at ``level``."""
+        if not self._tracked:
+            return np.zeros(self._table.num_layers, dtype=np.int64)
+        return self._table._state_lut[level][self._batch_counts, self._weight_counts]
+
+    def advance(self, level_assignment: LayerAssignment) -> None:
+        """Descend one level under ``level_assignment``'s choices."""
+        if not self._tracked:
+            return
+        table = self._table
+        codes = table._level_codes(level_assignment)
+        self._batch_counts += table._batch_effect[codes]
+        self._weight_counts += table._weight_effect[codes]
 
 
 def compile_cost_table(

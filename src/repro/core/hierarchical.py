@@ -40,7 +40,6 @@ from repro.core.parallelism import (
     StrategySpace,
 )
 from repro.core.partitioner import TwoWayPartitioner
-from repro.core.strategies import BATCH, WEIGHT, strategy_spec
 from repro.core.result import HierarchicalResult, LevelResult
 from repro.core.tensors import (
     ScalingMode,
@@ -377,31 +376,21 @@ class HierarchicalWarmStart:
 
 
 class _CompiledLevelTables:
-    """Level tables gathered from a pre-compiled :class:`HierarchicalCostTable`."""
+    """Level tables gathered from a pre-compiled :class:`HierarchicalCostTable`.
+
+    The table's scale descent tracks every layer's halving counts as
+    arrays, so each level's states are one gather and each advance two.
+    """
 
     def __init__(self, table: HierarchicalCostTable) -> None:
         self._table = table
-        # Per-layer (batch-halvings, weight-halvings) counts of the descent
-        # so far; the table maps them to its internal state indices.
-        self._batch_counts = [0] * table.num_layers
-        self._weight_counts = [0] * table.num_layers
+        self._descent = table.scale_descent()
 
-    def level_table(self, level: int):
-        states = [
-            self._table.state_index(level, b, w)
-            for b, w in zip(self._batch_counts, self._weight_counts)
-        ]
-        return self._table.level_cost_table(level, states)
+    def level_table(self, level: int) -> CostTable:
+        return self._table.level_cost_table(level, self._descent.states(level))
 
     def advance(self, assignment: LayerAssignment) -> None:
-        if self._table.scaling_mode is not ScalingMode.PARALLELISM_AWARE:
-            return
-        for layer, choice in enumerate(assignment):
-            halves = strategy_spec(choice).halves
-            if halves == BATCH:
-                self._batch_counts[layer] += 1
-            elif halves == WEIGHT:
-                self._weight_counts[layer] += 1
+        self._descent.advance(assignment)
 
 
 class _DescentLevelTables:

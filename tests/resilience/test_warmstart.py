@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.costs import CostTable, WarmStartDP
+from repro.core.costs import DAG_JUMP_STATS, CostTable, WarmStartDP
 from repro.core.hierarchical import HierarchicalPartitioner, HierarchicalWarmStart
 from repro.nn.model_zoo import all_model_builders
 
@@ -110,3 +110,12 @@ def test_level_solvers_are_cached_per_level():
         "solved_layers": 0,
         "cold_solves": 0,
     }
+
+
+def test_unmemoized_dag_solve_records_no_jump():
+    """``memoize=False`` reaches the cut-vertex program of a DAG table."""
+    table = CostTable.compile(all_model_builders()["gpt_r"](30), 256)
+    before = dict(DAG_JUMP_STATS)
+    result = WarmStartDP().solve(table, memoize=False)
+    assert DAG_JUMP_STATS == before
+    _assert_same_result(result, table.dp_partition(memoize=False))
