@@ -22,7 +22,7 @@ from repro.core.partitioner import TwoWayPartitioner
 from repro.core.tensors import model_tensors
 from repro.nn.layers import ConvLayer
 from repro.nn.model import build_model
-from repro.nn.model_zoo import gpt_s, lenet_c, resnet_s, vgg_e
+from repro.nn.model_zoo import gpt_r, gpt_s, lenet_c, resnet_s, vgg_e
 
 from conftest import emit
 
@@ -39,6 +39,31 @@ def _table_compile_oracle():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.oracle_compile
+
+
+def _search_oracle():
+    """The search steps the proportionate rewrite replaced, kept as oracles."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "tests",
+        "core",
+        "search_oracle.py",
+    )
+    spec = importlib.util.spec_from_file_location("search_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _best_seconds(function, calls: int = 20, rounds: int = 5) -> float:
+    """Best per-call time of ``function`` over ``rounds`` timed loops."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for _ in range(calls):
+            function()
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best
 
 
 def _synthetic_network(depth: int):
@@ -69,6 +94,63 @@ def test_hierarchical_search_vgg_e_four_levels(benchmark):
     result = benchmark(partitioner.partition, model, 256)
     benchmark.extra_info["layers"] = result.assignment.num_layers
     benchmark.extra_info["levels"] = result.num_levels
+
+
+def test_hierarchical_search_gpt_r(benchmark):
+    """Warm-table hierarchical search of ``gpt_r-30`` at 64 accelerators.
+
+    The residual transformer is the service's costliest search: six
+    levels of the cut-vertex program over 63 cut segments each.  The
+    table is compiled once outside the timed calls, as a service cache
+    hit on the table would find it.  On every level table the search
+    visits, the signature-id detector it replaced (kept in
+    ``tests/core/search_oracle.py``) and the row-matrix detector run
+    like-for-like in-process, best of five loops each; the ratio of their
+    summed times lands in ``extra_info`` as ``detector_speedup`` (floor
+    >= 3x, enforced here and by ``scripts/check_bench_regression.py``),
+    and both detectors must find the same periodic region.
+    """
+    oracle = _search_oracle()
+    model = gpt_r(30)
+    partitioner = HierarchicalPartitioner(num_levels=6)
+    table = partitioner.compile_table(model, 256)
+
+    result = benchmark(partitioner.partition, model, 256, table=table)
+
+    signature_seconds = matrix_seconds = 0.0
+    descent = table.scale_descent()
+    for level in range(table.num_levels):
+        level_table = table.level_cost_table(level, descent.states(level))
+        blocks = level_table.layout.segments
+        assert level_table._detect_periodic_blocks(
+            blocks
+        ) == oracle.detect_periodic_blocks(level_table, blocks)
+        signature_seconds += _best_seconds(
+            lambda: oracle.detect_periodic_blocks(level_table, blocks)
+        )
+        matrix_seconds += _best_seconds(
+            lambda: level_table._detect_periodic_blocks(blocks)
+        )
+        descent.advance(result.assignment[level])
+
+    search_seconds = benchmark.stats.stats.min
+    speedup = signature_seconds / matrix_seconds
+    benchmark.extra_info["layers"] = len(model)
+    benchmark.extra_info["levels"] = table.num_levels
+    benchmark.extra_info["search_seconds"] = search_seconds
+    benchmark.extra_info["signature_detector_seconds"] = signature_seconds
+    benchmark.extra_info["matrix_detector_seconds"] = matrix_seconds
+    benchmark.extra_info["detector_speedup"] = speedup
+    emit(
+        "Hierarchical search: gpt_r-30, 6 levels, warm table",
+        f"search             : {search_seconds * 1e3:.2f} ms\n"
+        f"signature detector : {signature_seconds * 1e3:.2f} ms per search\n"
+        f"row-matrix detector: {matrix_seconds * 1e3:.2f} ms per search\n"
+        f"detector speedup   : {speedup:.1f}x",
+    )
+    assert speedup >= 3.0, (
+        f"row-matrix detector must be >= 3x the signature detector, got {speedup:.1f}x"
+    )
 
 
 @pytest.mark.parametrize("depth", [32, 128, 512])

@@ -17,7 +17,8 @@ path), ``warm_vs_cold_speedup`` >= 10x (the service's warm requests over
 a cold CLI run), ``deep_dp_speedup`` >= 10x (the memoized chain DP
 over the cold layer loop on the 1024-block transformer) and
 ``table_compile_speedup`` >= 5x (the columnar cost-table compile over
-the per-entry one) -- so none can
+the per-entry one) and ``detector_speedup`` >= 3x (the row-matrix
+periodic-block detector over the signature-id one) -- so none can
 silently fall below its bar even if it stays self-consistent between
 runs.
 
@@ -66,6 +67,10 @@ SPEEDUP_FLOORS = {
     # replaced, on gpt_s-30 at 6 levels
     # (bench_search_performance.py::test_hierarchical_table_compile).
     "table_compile_speedup": 5.0,
+    # Row-matrix periodic-block detector vs the signature-id detector it
+    # replaced, summed over the level tables of a gpt_r-30 search at 6
+    # levels (bench_search_performance.py::test_hierarchical_search_gpt_r).
+    "detector_speedup": 3.0,
 }
 
 

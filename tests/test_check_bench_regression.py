@@ -130,6 +130,16 @@ class TestComparison:
         assert script.main([baseline, current]) == 1
         assert "table_compile_speedup fell to 4.0x (floor 5x)" in capsys.readouterr().out
 
+    def test_current_only_detector_floor_enforced(self, script, tmp_path, capsys):
+        """The gpt_r search bench is absent from the committed baseline."""
+        baseline = _write(tmp_path / "baseline.json", [_bench("a", 1.0)])
+        current = _write(
+            tmp_path / "current.json",
+            [_bench("a", 1.0), _bench("gpt_r", 1.0, detector_speedup=2.5)],
+        )
+        assert script.main([baseline, current]) == 1
+        assert "detector_speedup fell to 2.5x (floor 3x)" in capsys.readouterr().out
+
     def test_dropping_a_recorded_speedup_key_fails(self, script, tmp_path, capsys):
         baseline = _write(
             tmp_path / "baseline.json", [_bench("svc", 1.0, warm_vs_cold_speedup=1500.0)]
