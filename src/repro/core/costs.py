@@ -146,6 +146,12 @@ _MEMOIZE_MIN_BLOCKS = 16
 #: per-probe comparisons are tiny slices.
 _MAX_BLOCK_PERIOD = 8
 
+#: Largest one-chunk segment pattern count whose gather indices a table
+#: layout keeps: residual-transformer segments have 4 to 16 patterns, and
+#: a rare wide branch interior is re-indexed per search instead of
+#: holding megabytes.
+_CACHED_CHUNK_ROWS = 1 << 12
+
 #: Test hook: cumulative DAG periodic-block-jump statistics for the
 #: process.  ``jumps`` counts successful jumps, ``jumped_blocks`` /
 #: ``jumped_layers`` the cut segments / layers they replayed by
@@ -559,6 +565,7 @@ class _TableLayout:
         #: state) are its source's.
         self.edge_sources = np.array([source for source, _ in edges], dtype=np.intp)
         self._segment_plans: dict[tuple[int, int], tuple] = {}
+        self._chunk_indices: dict[tuple[int, int, int], tuple] = {}
 
     def edges_into(self, first: int, last: int) -> list[int]:
         """Indices, in canonical order, of the edges with ``first < dst <= last``."""
@@ -676,71 +683,112 @@ class _TableLayout:
         return ids, groups
 
     def segment_plan(self, block_start: int, block_end: int) -> tuple:
-        """Gather indices of one block for :func:`_segment_totals`, cached.
+        """``(local_edges, intra_rows, ranks)`` of one block, cached.
 
-        ``(local_edges, intra_rows, edge_index, edge_source,
-        edge_destination, ranks)``: the block's layers past its entering
-        cut vertex, its local edges as arrays, and the edges grouped by
-        their rank among the edges into the same destination (rank ``r``
-        holds each merge layer's ``r``-th incoming edge in canonical
-        order, so no destination repeats within a rank) as ``(positions,
-        columns)`` pairs.
+        ``intra_rows`` are the block's layers past its entering cut vertex.
+        ``ranks`` groups the local edges by their rank among the edges
+        into the same destination -- rank ``r`` holds each layer's
+        ``r``-th incoming edge in canonical order, so no destination
+        repeats within a rank -- as ``(edges, columns)`` pairs: the rank's
+        ``(edge_index, local_source, local_destination)`` arrays and each
+        edge's destination column ``local_destination - 1``.
         """
         key = (block_start, block_end)
         plan = self._segment_plans.get(key)
         if plan is None:
             local_edges = self.local_edges(block_start, block_end)
-            ranks: list[tuple[list[int], list[int]]] = []
+            ranks: list[list[tuple[int, int, int]]] = []
             seen: dict[int, int] = {}
-            for position, (_, _, destination) in enumerate(local_edges):
-                rank = seen.get(destination, 0)
-                seen[destination] = rank + 1
+            for edge in local_edges:
+                rank = seen.get(edge[2], 0)
+                seen[edge[2]] = rank + 1
                 if rank == len(ranks):
-                    ranks.append(([], []))
-                ranks[rank][0].append(position)
-                ranks[rank][1].append(destination - 1)
+                    ranks.append([])
+                ranks[rank].append(edge)
             plan = self._segment_plans[key] = (
                 local_edges,
                 np.arange(block_start + 1, block_end + 1, dtype=np.intp),
-                np.array([edge for edge, _, _ in local_edges], dtype=np.intp),
-                np.array([source for _, source, _ in local_edges], dtype=np.intp),
-                np.array([dest for _, _, dest in local_edges], dtype=np.intp),
                 [
-                    (np.array(positions, dtype=np.intp), np.array(columns, dtype=np.intp))
-                    for positions, columns in ranks
+                    (
+                        np.array(edges, dtype=np.intp).T,
+                        np.array([destination - 1 for _, _, destination in edges]),
+                    )
+                    for edges in ranks
                 ],
             )
         return plan
 
+    def chunk_indices(
+        self,
+        block_start: int,
+        block_end: int,
+        base: int,
+        decoded: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Flat gather indices of one chunk of a block's code patterns.
+
+        ``decoded`` is the chunk's ``(N, B)`` code matrix (``B`` layers,
+        entering cut vertex first); omitted, the chunk is the block's
+        whole pattern space, whose indices are cached when it is small
+        (every residual-transformer segment).  Returns ``(com_index,
+        intra_index, rank_indices)``: the entering code per pattern, and
+        ``(N, B - 1)`` indices into the flattened ``intra`` and into the
+        flattened inter terms of :meth:`CostTable._inter_terms` -- one
+        matrix per edge rank, pointing at the trailing ``0.0`` where a
+        layer has fewer incoming edges.
+        """
+        key = (block_start, block_end, base)
+        if decoded is None:
+            cached = self._chunk_indices.get(key)
+            if cached is not None:
+                return cached
+            patterns = _digit_patterns(base, block_end - block_start + 1)
+        else:
+            patterns = decoded
+        _, intra_rows, ranks = self.segment_plan(block_start, block_end)
+        later = patterns[:, 1:]
+        intra_index = intra_rows * base + later
+        sentinel = len(self.edges) * base * base
+        rank_indices = []
+        for (edge_index, source, destination), columns in ranks:
+            index = np.full(later.shape, sentinel, dtype=np.intp)
+            index[:, columns] = (
+                edge_index * base + patterns[:, source]
+            ) * base + patterns[:, destination]
+            rank_indices.append(index)
+        if not rank_indices:
+            rank_indices.append(np.full(later.shape, sentinel, dtype=np.intp))
+        indices = (patterns[:, 0], intra_index, rank_indices)
+        if decoded is None and patterns.shape[0] <= _CACHED_CHUNK_ROWS:
+            self._chunk_indices[key] = indices
+        return indices
+
 
 def _segment_totals(
     intra: np.ndarray,
-    inter: np.ndarray,
+    inter_terms: np.ndarray,
     com: np.ndarray,
-    decoded: np.ndarray,
-    plan: tuple,
+    indices: tuple[np.ndarray, np.ndarray, list[np.ndarray]],
 ) -> np.ndarray:
-    """Totals of a cut segment's decoded ``(N, B)`` code patterns.
+    """Totals of one chunk of a cut segment's code patterns.
 
-    Column 0 carries the accumulated prefix cost of the entering cut
-    vertex (its own terms are already inside ``com``); every later layer
-    adds ``intra + ((0 + inter_1) + inter_2 ...)`` over its incoming edges
-    in canonical order, left to right -- the association of the batched
-    scorer and of the object path.  One fancy index gathers every intra
-    term and one every edge term.
+    ``indices`` come from :meth:`_TableLayout.chunk_indices`.  Column 0
+    carries the accumulated prefix cost of the entering cut vertex (its
+    own terms are already inside ``com``); every later layer adds ``intra
+    + ((0 + inter_1) + inter_2 ...)`` over its incoming edges in canonical
+    order, left to right -- the association of the batched scorer and of
+    the object path.  ``inter_terms`` holds ``0 + inter`` already, so rank
+    0's gather is the first sum; a sum that starts at ``0 +`` is never
+    ``-0.0``, so later ranks add their normalized terms (or the padding
+    ``0.0``) bit-exactly.  One ``take`` gathers each term matrix.
     """
-    _, intra_rows, edge_index, edge_source, edge_destination, ranks = plan
-    later = decoded[:, 1:]
-    per_layer = intra[intra_rows, later]
-    inter_acc = np.zeros_like(per_layer)
-    if ranks:
-        terms = inter[
-            edge_index, decoded[:, edge_source], decoded[:, edge_destination]
-        ]
-        for positions, columns in ranks:
-            inter_acc[:, columns] += terms[:, positions]
+    com_index, intra_index, rank_indices = indices
+    per_layer = intra.take(intra_index)
+    inter_acc = inter_terms.take(rank_indices[0])
+    for index in rank_indices[1:]:
+        inter_acc += inter_terms.take(index)
     per_layer += inter_acc
-    totals = com[decoded[:, 0]]
+    totals = com.take(com_index)
     for column in per_layer.T:
         totals += column
     return totals
@@ -1102,6 +1150,18 @@ class CostTable:
         """Indices, in canonical order, of the edges with ``first < dst <= last``."""
         return self.layout.edges_into(first, last)
 
+    @functools.cached_property
+    def _inter_terms(self) -> np.ndarray:
+        """``0 + inter`` flattened, plus one trailing ``0.0`` (padding).
+
+        The first add of every merge layer's inter sum, done once per
+        table for :func:`_segment_totals`.
+        """
+        terms = np.zeros(self.inter.size + 1)
+        terms[:-1] = self.inter.reshape(-1)
+        terms[:-1] += 0.0
+        return terms
+
     # ------------------------------------------------------------------
     # Construction.
     # ------------------------------------------------------------------
@@ -1249,7 +1309,7 @@ class CostTable:
 
         members = self.strategies.members
         assignment = LayerAssignment(
-            tuple(members[code] for code in codes_per_layer)
+            tuple(map(members.__getitem__, codes_per_layer))
         )
         return self.lazy_result(assignment, total)
 
@@ -1351,7 +1411,7 @@ class CostTable:
                 rest //= num_strategies
 
         members = self.strategies.members
-        assignment = LayerAssignment(tuple(members[code] for code in codes_per_layer))
+        assignment = LayerAssignment(tuple(map(members.__getitem__, codes_per_layer)))
         return self.lazy_result(assignment, total)
 
     def _block_local_edges(
@@ -1520,8 +1580,8 @@ class CostTable:
                 f"the enumeration limit of {DEFAULT_MAX_BLOCK_PATTERNS}"
             )
         block_layers = interior_count + 2
-        plan = self.layout.segment_plan(block_start, block_end)
-        block_edges = plan[0]
+        layout = self.layout
+        block_edges = layout.segment_plan(block_start, block_end)[0]
         use_kernel = kernels.compiled_active(self.backend)
         if use_kernel:
             # Group the block's edges by local destination (stably) for
@@ -1559,13 +1619,12 @@ class CostTable:
         ):
             chunk_span *= num_strategies
             free_digits += 1
-        patterns = _digit_patterns(num_strategies, free_digits)
         # Both spans are powers of K, so each chunk holds whole runs of
         # one end code: ``K`` runs in a one-chunk segment, one otherwise.
         run_length = min(chunk_span, group_size)
-        run_offsets = np.arange(chunk_span // run_length) * run_length
         multi_chunk = free_digits < block_layers
         if multi_chunk:
+            patterns = _digit_patterns(num_strategies, free_digits)
             # Lower-bound scaffolding over the free (low) digits: the
             # cheapest prefix state, each free layer's cheapest intra
             # entry, each free-internal edge's cheapest inter entry
@@ -1585,8 +1644,9 @@ class CostTable:
                     fixed_edges.append((edge_index, local_source, local_destination))
                 else:
                     cross_into_fixed.append((edge_index, local_destination))
+        else:
+            indices = layout.chunk_indices(block_start, block_end, num_strategies)
         for start in range(0, num_patterns, chunk_span):
-            decoded = patterns
             if multi_chunk:
                 fixed = _decode_digits(
                     np.array([start // chunk_span], dtype=np.int64),
@@ -1624,6 +1684,9 @@ class CostTable:
                     decoded = np.empty((chunk_span, block_layers), dtype=np.int64)
                     decoded[:, :free_digits] = patterns
                     decoded[:, free_digits:] = fixed
+                    indices = layout.chunk_indices(
+                        block_start, block_end, num_strategies, decoded
+                    )
             if use_kernel:
                 totals = np.empty(chunk_span, dtype=np.float64)
                 kernels.dag_block_totals_compiled(
@@ -1641,19 +1704,20 @@ class CostTable:
                     parallel=parallel,
                 )
             else:
-                totals = _segment_totals(self.intra, self.inter, com, decoded, plan)
+                totals = _segment_totals(self.intra, self._inter_terms, com, indices)
             # Strict ``<`` against the running minima keeps the first
             # (lowest-pattern) winner across ascending chunks, matching
             # the unchunked group-argmin tie rule; ``argmin`` itself
             # picks each run's first minimum.
-            firsts = totals.reshape(-1, run_length).argmin(axis=1) + run_offsets
+            runs = totals.reshape(-1, run_length)
             first_end = start // group_size
-            for run, (position, value) in enumerate(
-                zip(firsts.tolist(), totals[firsts].tolist())
-            ):
+            for run, position in enumerate(runs.argmin(axis=1).tolist()):
+                value = runs.item(run, position)
                 if value < best[first_end + run]:
                     best[first_end + run] = value
-                    best_rest[first_end + run] = (start + position) % group_size
+                    best_rest[first_end + run] = (
+                        start + run * run_length + position
+                    ) % group_size
         return np.array(best), np.array(best_rest, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -2040,7 +2104,7 @@ class WarmStartDP:
             code = codes_per_layer[layer] = parent_rows[layer][code]
         members = table.strategies.members
         assignment = LayerAssignment(
-            tuple(members[code] for code in codes_per_layer)
+            tuple(map(members.__getitem__, codes_per_layer))
         )
         result = table.lazy_result(assignment, total)
 
