@@ -37,7 +37,13 @@ paper's binary dp/mp axis by default):
   ``(previous, current)`` code pair (inter).  No
   :class:`~repro.core.tensors.LayerTensors` record is built to compile;
   a gathered level table holds a lazy view that builds its records only
-  when a breakdown is read.
+  when a breakdown is read.  What depends on the edge list alone -- the
+  cut segments of a DAG, their local edges and shapes, the gather
+  indices of their code patterns -- is derived once per table (a
+  ``_TableLayout``) and shared by every level table it gathers, and a
+  search walks the scale descent with each layer's halving counts held
+  as arrays (:meth:`HierarchicalCostTable.scale_descent`), so the work
+  per level is the gathers and the dynamic program.
 
 Bit-exactness
 -------------
@@ -147,9 +153,9 @@ _MEMOIZE_MIN_BLOCKS = 16
 _MAX_BLOCK_PERIOD = 8
 
 #: Largest one-chunk segment pattern count whose gather indices a table
-#: layout keeps: residual-transformer segments have 4 to 16 patterns, and
-#: a rare wide branch interior is re-indexed per search instead of
-#: holding megabytes.
+#: layout keeps: residual-transformer segments have at most a few dozen
+#: patterns, and a rare wide branch interior is re-indexed per search
+#: instead of holding megabytes per table.
 _CACHED_CHUNK_ROWS = 1 << 12
 
 #: Test hook: cumulative DAG periodic-block-jump statistics for the
@@ -556,21 +562,31 @@ class _TableLayout:
         self.edges = edges
         self.num_layers = num_layers
         self.is_chain = edges == _chain_edges(num_layers)
-        # Edge indices stably sorted by destination, and their destinations:
-        # the edges into a contiguous destination range are one bisected
-        # slice.  Canonical edge lists are destination-ordered already.
-        self.edge_order = sorted(range(len(edges)), key=lambda e: edges[e][1])
-        self.edge_destinations = [edges[e][1] for e in self.edge_order]
-        #: Source layer per edge: an edge's boundary tensors (and scale
-        #: state) are its source's.
-        self.edge_sources = np.array([source for source, _ in edges], dtype=np.intp)
         self._segment_plans: dict[tuple[int, int], tuple] = {}
         self._chunk_indices: dict[tuple[int, int, int], tuple] = {}
 
+    @functools.cached_property
+    def edge_sources(self) -> np.ndarray:
+        """Source layer per edge: an edge's boundary tensors (and scale
+        state) are its source's."""
+        return np.array([source for source, _ in self.edges], dtype=np.intp)
+
+    @functools.cached_property
+    def _by_destination(self) -> tuple[list[int], list[int]]:
+        """Edge indices stably sorted by destination, and their destinations.
+
+        Canonical edge lists are destination-ordered already, so the order
+        is normally the identity; either way the edges into a contiguous
+        destination range are one bisected slice (:meth:`edges_into`).
+        """
+        edges = self.edges
+        order = sorted(range(len(edges)), key=lambda e: edges[e][1])
+        return order, [edges[e][1] for e in order]
+
     def edges_into(self, first: int, last: int) -> list[int]:
         """Indices, in canonical order, of the edges with ``first < dst <= last``."""
-        destinations = self.edge_destinations
-        selected = self.edge_order[
+        order, destinations = self._by_destination
+        selected = order[
             bisect.bisect_right(destinations, first) : bisect.bisect_right(
                 destinations, last
             )
@@ -601,11 +617,10 @@ class _TableLayout:
         kernels' per-destination accumulation is bit-exact with the NumPy
         edge loop.
         """
-        edge_index = np.array(self.edge_order, dtype=np.int64)
-        edge_source = np.array(
-            [self.edges[e][0] for e in self.edge_order], dtype=np.int64
-        )
-        edge_destination = np.array(self.edge_destinations, dtype=np.int64)
+        order, destinations = self._by_destination
+        edge_index = np.array(order, dtype=np.int64)
+        edge_source = np.array([self.edges[e][0] for e in order], dtype=np.int64)
+        edge_destination = np.array(destinations, dtype=np.int64)
         return edge_index, edge_source, edge_destination
 
     @functools.cached_property
@@ -1644,7 +1659,7 @@ class CostTable:
                     fixed_edges.append((edge_index, local_source, local_destination))
                 else:
                     cross_into_fixed.append((edge_index, local_destination))
-        else:
+        elif not use_kernel:
             indices = layout.chunk_indices(block_start, block_end, num_strategies)
         for start in range(0, num_patterns, chunk_span):
             if multi_chunk:

@@ -21,7 +21,10 @@ Searches and evaluations run against a compiled
 scale-descent state is derived once per model and gathered per level), so
 sweeps that evaluate many assignments of the same model share one table;
 pass it explicitly via the ``table`` parameter or let each call compile its
-own.  The original object-based evaluation is kept as
+own.  Per level, a search on a compiled table gathers the level's costs
+under the descent's states (tracked as arrays, one gather per level) and
+reuses the table's edge structure, so it redoes nothing that stays the
+same from level to level.  The original object-based evaluation is kept as
 :meth:`HierarchicalPartitioner.evaluate_reference`, the oracle the
 vectorized paths are tested against.
 """
