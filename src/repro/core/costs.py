@@ -237,45 +237,25 @@ def _advance_chain_floats(
     ):
         _advance_chain_numpy(intra, inter, parents, frontiers, start, stop)
         return
+    codes = range(num_strategies)
+    values = com.tolist()
     parent_rows = []
     frontier_rows = []
-    if num_strategies == 2:
-        com0, com1 = com.tolist()
-        for (from0, from1), (intra0, intra1) in zip(
-            inter_block.tolist(), intra_block.tolist()
-        ):
-            best0 = com0 + from0[0]
-            other = com1 + from1[0]
-            choice0 = 0
-            if other < best0:
-                best0, choice0 = other, 1
-            best1 = com0 + from0[1]
-            other = com1 + from1[1]
-            choice1 = 0
-            if other < best1:
-                best1, choice1 = other, 1
-            com0 = best0 + intra0
-            com1 = best1 + intra1
-            parent_rows.append((choice0, choice1))
-            frontier_rows.append((com0, com1))
-    else:
-        codes = range(num_strategies)
-        values = com.tolist()
-        for rows, row_intra in zip(inter_block.tolist(), intra_block.tolist()):
-            choices = []
-            advanced = []
-            for code in codes:
-                best = values[0] + rows[0][code]
-                choice = 0
-                for source in codes[1:]:
-                    candidate = values[source] + rows[source][code]
-                    if candidate < best:
-                        best, choice = candidate, source
-                choices.append(choice)
-                advanced.append(best + row_intra[code])
-            values = advanced
-            parent_rows.append(choices)
-            frontier_rows.append(advanced)
+    for rows, row_intra in zip(inter_block.tolist(), intra_block.tolist()):
+        choices = []
+        advanced = []
+        for code in codes:
+            best = values[0] + rows[0][code]
+            choice = 0
+            for source in codes[1:]:
+                candidate = values[source] + rows[source][code]
+                if candidate < best:
+                    best, choice = candidate, source
+            choices.append(choice)
+            advanced.append(best + row_intra[code])
+        values = advanced
+        parent_rows.append(choices)
+        frontier_rows.append(advanced)
     parents[start - 1 : stop - 1] = parent_rows
     frontiers[start:stop] = frontier_rows
 
