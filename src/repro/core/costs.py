@@ -260,16 +260,18 @@ def _advance_chain_floats(
     frontiers[start:stop] = frontier_rows
 
 
-def _chain_advancer(backend: str):
+def _chain_advancer(backend: str, memoize: bool = True):
     """The layer-advancement routine for a resolved backend name.
 
     Both compiled variants share the serial chain kernel: the recurrence
     is sequential in the layer axis, so there is nothing for the
-    ``prange`` leg to parallelize.
+    ``prange`` leg to parallelize.  On NumPy, ``memoize=False`` -- the
+    cold oracle run -- steps on the NumPy loop that the Python-float
+    step is checked against.
     """
     if backend in kernels.COMPILED_BACKENDS and kernels.NUMBA_AVAILABLE:
         return kernels.chain_dp_compiled
-    return _advance_chain_floats
+    return _advance_chain_floats if memoize else _advance_chain_numpy
 
 
 def _detect_periodic_region(
@@ -424,14 +426,15 @@ def _chain_dp_run(
 
     The single chain-DP driver behind :meth:`CostTable.dp_partition` and
     :class:`WarmStartDP`: advances the recurrence with the selected
-    backend and, when ``memoize`` is on and the chain's transitions repeat
+    backend (:func:`_chain_advancer`) and, when ``memoize`` is on and the
+    chain's transitions repeat
     (transformer blocks), replays converged period blocks by translation
     (:func:`_try_periodic_jump`) instead of stepping them.  Returns the
     final frontier and the number of layers filled by jumps; every filled
     row is bit-exact with cold stepping.
     """
     num_layers = intra.shape[0]
-    advance = _chain_advancer(backend)
+    advance = _chain_advancer(backend, memoize)
     if not memoize or num_layers - start < _MEMOIZE_MIN_LAYERS:
         advance(intra, inter, parents, frontiers, start, num_layers)
         return frontiers[num_layers - 1], 0
