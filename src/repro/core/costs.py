@@ -2182,7 +2182,6 @@ class HierarchicalCostTable:
             _normalize_edges(model.edges, self.num_layers), self.num_layers
         )
         self.edges: tuple[tuple[int, int], ...] = self._layout.edges
-        self._is_chain = self._layout.is_chain
         self._layer_range = np.arange(self.num_layers)
         self._edge_range = np.arange(len(self.edges))
         #: Per destination layer: its incoming ``(edge_index, source)`` pairs
@@ -2533,7 +2532,7 @@ class HierarchicalCostTable:
                     np.ascontiguousarray(level_codes, dtype=np.int64),
                     float(1 << level),
                     totals,
-                    is_chain=self._is_chain,
+                    is_chain=self._layout.is_chain,
                     edge_index=edge_index,
                     edge_source=edge_source,
                     edge_destination=edge_destination,
@@ -2541,7 +2540,7 @@ class HierarchicalCostTable:
                 )
             else:
                 per_layer = self._intra[level][layer_range, states, level_codes]
-                if self._is_chain:
+                if self._layout.is_chain:
                     if num_layers > 1:
                         per_layer[:, 1:] += self._inter[level][
                             boundary_range,

@@ -213,8 +213,11 @@ def chain_rows(draw):
     entries = any_entry if draw(st.booleans(), label="special") else finite
     intra = np.array(
         draw(
-            st.lists(entries, min_size=num_layers * num_strategies,
-                     max_size=num_layers * num_strategies)
+            st.lists(
+                entries,
+                min_size=num_layers * num_strategies,
+                max_size=num_layers * num_strategies,
+            )
         )
     ).reshape(num_layers, num_strategies)
     inter = np.array(
