@@ -27,6 +27,7 @@ chains so every figure reproduction stays byte-identical.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -582,15 +583,26 @@ def _normalize_model_name(name: str) -> str:
     return name.strip().lower().replace("-", "").replace("_", "")
 
 
-def _normalized_lookup(builders: Dict[str, Callable[[], DNNModel]]) -> Dict[str, str]:
-    # Built per call (cheap: ~20 short-string normalizations) so live
-    # registration stays visible; see :func:`all_model_builders`.
+@functools.lru_cache(maxsize=8)
+def _normalized_lookup(names: Tuple[str, ...]) -> Dict[str, str]:
+    """Normalized spelling -> canonical name, for one set of zoo names.
+
+    Memoized on the names themselves (the keys of
+    :func:`all_model_builders` at call time), so live registration stays
+    visible.  Callers must not mutate the returned table.
+    """
     lookup: Dict[str, str] = {}
-    for canonical in builders:
+    for canonical in names:
         lookup[_normalize_model_name(canonical)] = canonical
     for alias, canonical in _ALIASES.items():
         lookup.setdefault(_normalize_model_name(alias), canonical)
     return lookup
+
+
+@functools.lru_cache(maxsize=8)
+def _family_lookup(families: Tuple[str, ...]) -> Dict[str, str]:
+    """Normalized family name -> parameterized family, memoized likewise."""
+    return {_normalize_model_name(family): family for family in families}
 
 
 def _split_parameterized(canonical: str) -> Tuple[Optional[str], Optional[int]]:
@@ -617,10 +629,7 @@ def _parse_depth_suffix(normalized: str) -> Optional[str]:
     match = re.fullmatch(r"([a-z]+?)0*(\d+)", normalized)
     if match is None:
         return None
-    family_lookup = {
-        _normalize_model_name(family): family for family in PARAMETERIZED_MODEL_BUILDERS
-    }
-    family = family_lookup.get(match.group(1))
+    family = _family_lookup(tuple(PARAMETERIZED_MODEL_BUILDERS)).get(match.group(1))
     if family is None:
         return None
     return f"{family}-{int(match.group(2))}"
@@ -638,7 +647,7 @@ def canonical_model_name(name: str) -> str:
     """
     builders = all_model_builders()
     normalized = _normalize_model_name(name)
-    canonical = _normalized_lookup(builders).get(normalized)
+    canonical = _normalized_lookup(tuple(builders)).get(normalized)
     if canonical is not None:
         return canonical
     # Depth-suffixed parameterized spellings resolve after the exact table

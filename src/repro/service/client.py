@@ -3,8 +3,20 @@
 Used by the service tests, the throughput benchmark and scripts; it is
 also a reference for talking to the daemon from anywhere else (the README
 shows the equivalent ``curl`` invocations).  One persistent keep-alive
-connection per client, transparently re-opened when the server side closes
-it between requests.
+connection per client -- a ``TCP_NODELAY`` socket and one buffered reader
+-- transparently re-opened when the server side closes it between
+requests.
+
+Each request (request line, ``Host``, ``Accept-Encoding: identity``,
+``Content-Length``, ``Content-Type`` and the JSON body) goes out in one
+``sendall``.  :func:`read_response` reads the answer under http.client's
+limits and rules: interim ``100`` responses skipped, the body framed by
+``Content-Length`` (or by the peer's close), ``Connection: close``
+honoured.  It raises http.client's own exception types
+(``RemoteDisconnected``, ``BadStatusLine``, ``LineTooLong``,
+``IncompleteRead``) or ``OSError``, so the retry policy below treats a
+failure exactly as it would with :mod:`http.client`.  The daemon never
+sends a chunked body, so a chunked response is an error here.
 
 Transient transport failures (connection refused/reset, socket timeouts,
 a keep-alive connection the server dropped) are retried with exponential
@@ -24,8 +36,21 @@ import dataclasses
 import http.client
 import json
 import random
+import re
 import socket
 import time
+from typing import BinaryIO
+
+#: http.client's limits: the longest status or header line, and the count
+#: of header lines (the blank line included) that is one too many.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+_HEADER_LINE = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)(?:\r?\n)?")
+#: What http.client refuses in a request target (CVE-2019-9740).
+_BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
+#: Methods http.client sends ``Content-Length: 0`` for when bodiless.
+_METHODS_EXPECTING_BODY = frozenset({"PATCH", "POST", "PUT"})
 
 
 class ServiceClientError(RuntimeError):
@@ -39,6 +64,97 @@ class ServiceClientError(RuntimeError):
         super().__init__(f"HTTP {status}: {detail}")
         self.status = status
         self.body = body
+
+
+def _read_headers(reader: BinaryIO) -> dict[str, str]:
+    """Header lines up to the blank line: lower-cased name -> first value."""
+    headers: dict[str, str] = {}
+    count = 0
+    while True:
+        line = reader.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        count += 1
+        if count > MAX_HEADERS:
+            raise http.client.HTTPException(f"got more than {MAX_HEADERS} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        match = _HEADER_LINE.fullmatch(line)
+        if match is None:
+            raise http.client.HTTPException(f"malformed header line {line!r}")
+        headers.setdefault(match[1].decode("ascii").lower(), match[2].decode("iso-8859-1"))
+
+
+def _read_status(reader: BinaryIO) -> tuple[str, int]:
+    line = str(reader.readline(MAX_LINE + 1), "iso-8859-1")
+    if len(line) > MAX_LINE:
+        raise http.client.LineTooLong("status line")
+    if not line:
+        raise http.client.RemoteDisconnected(
+            "Remote end closed connection without response"
+        )
+    parts = line.split(None, 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
+        raise http.client.BadStatusLine(line)
+    try:
+        status = int(parts[1])
+    except ValueError:
+        raise http.client.BadStatusLine(line) from None
+    if not 100 <= status <= 999:
+        raise http.client.BadStatusLine(line)
+    return parts[0], status
+
+
+def read_response(reader: BinaryIO, method: str = "GET") -> tuple[int, bytes, bool]:
+    """One response off ``reader``: ``(status, body, will_close)``.
+
+    Follows ``http.client.HTTPResponse.begin`` and ``read()``: interim
+    ``100 Continue`` responses are skipped; HTTP/1.1 keeps the connection
+    unless ``Connection`` names ``close``, HTTP/1.0 closes it unless a
+    keep-alive header says otherwise; a body without a usable
+    ``Content-Length`` runs to the peer's close.  A chunked body raises
+    :class:`http.client.HTTPException`.
+    """
+    while True:
+        version, status = _read_status(reader)
+        if status != 100:
+            break
+        _read_headers(reader)
+    if version in ("HTTP/1.0", "HTTP/0.9"):
+        http11 = False
+    elif version.startswith("HTTP/1."):
+        http11 = True
+    else:
+        raise http.client.UnknownProtocol(version)
+    headers = _read_headers(reader)
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        raise http.client.HTTPException("chunked responses are not supported")
+    connection = headers.get("connection", "").lower()
+    if http11:
+        will_close = "close" in connection
+    else:
+        will_close = not (
+            headers.get("keep-alive")
+            or "keep-alive" in connection
+            or "keep-alive" in headers.get("proxy-connection", "").lower()
+        )
+    length = None
+    if headers.get("content-length"):
+        try:
+            length = int(headers["content-length"])
+        except ValueError:
+            pass
+        else:
+            if length < 0:
+                length = None
+    if status in (204, 304) or status < 200 or method == "HEAD":
+        length = 0
+    if length is None:
+        return status, reader.read(), True
+    body = reader.read(length) if length else b""
+    if len(body) < length:
+        raise http.client.IncompleteRead(body, length - len(body))
+    return status, body, will_close
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,29 +210,29 @@ class ServiceClient:
         self.jitter = jitter
         self._rng = rng if rng is not None else random.Random(0)
         self.retried = 0
-        self._connection: http.client.HTTPConnection | None = None
+        netloc = f"[{host}]" if ":" in host else host
+        self._host_header = netloc if port == 80 else f"{netloc}:{port}"
+        self._sock: socket.socket | None = None
+        self._reader: BinaryIO | None = None
 
     # ------------------------------------------------------------------
     # Transport.
     # ------------------------------------------------------------------
 
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._connection is None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            connection.connect()
-            # Mirror the server's TCP_NODELAY: headers and body are
-            # written separately, and Nagle + delayed ACK would otherwise
-            # cost ~40 ms per request on loopback.
-            connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._connection = connection
-        return self._connection
+    def _connect(self) -> tuple[socket.socket, BinaryIO]:
+        if self._sock is None:
+            sock = socket.create_connection((self.host, self.port), self.timeout)
+            # Each request is one write, but Nagle would still hold it
+            # back until the previous segment's (delayed) ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock, self._reader = sock, sock.makefile("rb")
+        return self._sock, self._reader
 
     def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -140,18 +256,14 @@ class ServiceClient:
         4xx is never retried), and with ``idempotent=False`` a failure
         after bytes may have been sent propagates instead of retrying.
         """
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(payload).encode()
-            headers["Content-Type"] = "application/json"
+        message = self._message(method, path, payload)
         last_error: Exception | None = None
         for attempt in range(self.retries):
             if attempt:
                 self.retried += 1
                 self._sleep_backoff(attempt)
             try:
-                connection = self._connect()
+                sock, reader = self._connect()
             except OSError as error:
                 # Connect failures (refused/reset/timeout): nothing was
                 # sent, so retrying is always safe.
@@ -159,9 +271,8 @@ class ServiceClient:
                 last_error = error
                 continue
             try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                return ServiceResponse(response.status, response.read())
+                sock.sendall(message)
+                status, body, will_close = read_response(reader, method)
             except (http.client.HTTPException, OSError) as error:
                 # Dropped mid-exchange (stale keep-alive, injected drop,
                 # server restart).  Bytes may have reached the wire, so
@@ -170,8 +281,33 @@ class ServiceClient:
                 last_error = error
                 if not idempotent:
                     raise
+                continue
+            if will_close:
+                self.close()
+            return ServiceResponse(status, body)
         assert last_error is not None
         raise last_error
+
+    def _message(self, method: str, path: str, payload) -> bytes:
+        """The request's bytes, head and JSON body, for one ``sendall``."""
+        for part in (method, path):
+            if _BAD_TARGET.search(part):
+                raise http.client.InvalidURL(
+                    f"request method and path can't contain control characters "
+                    f"or spaces: {part!r}"
+                )
+        head = (
+            f"{method} {path} HTTP/1.1\r\nHost: {self._host_header}\r\n"
+            "Accept-Encoding: identity\r\n"
+        )
+        if payload is not None:
+            body = json.dumps(payload).encode()
+            head += f"Content-Length: {len(body)}\r\nContent-Type: application/json\r\n"
+        else:
+            body = b""
+            if method in _METHODS_EXPECTING_BODY:
+                head += "Content-Length: 0\r\n"
+        return f"{head}\r\n".encode("ascii") + body
 
     def _checked(self, method: str, path: str, payload=None) -> dict:
         response = self.request(method, path, payload)

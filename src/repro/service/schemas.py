@@ -13,11 +13,18 @@ The cache key itself is :meth:`ServiceRequest.cache_key`: the SHA-256 of
 the endpoint kind plus the canonical payload serialized with sorted keys
 and fixed separators, so it is deterministic across processes and
 restarts.
+
+A warm request spends most of its in-process time here, so the flat
+schemas (``/partition``, ``/simulate``) build their canonical payload
+from their fields directly, scaling modes and strategy spaces are
+canonicalized through bounded memos, and model names resolve through a
+lookup table memoized on the zoo's current names.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from typing import Mapping
@@ -33,6 +40,9 @@ from repro.sweep.spec import PRESETS, TOPOLOGY_NAMES, SweepSpec
 
 #: Default array size (the paper's sixteen-accelerator platform).
 DEFAULT_NUM_ACCELERATORS = 16
+#: The default scaling mode's canonical spelling (an enum lookup per use
+#: otherwise).
+_DEFAULT_SCALING = ScalingMode.PARALLELISM_AWARE.value
 
 
 class SchemaError(ValueError):
@@ -100,10 +110,36 @@ def _canonical_accelerators(payload: Mapping, minimum: int) -> int:
     return count
 
 
+def _memoized(canonicalize):
+    """``canonicalize`` behind a memo of the spellings clients send.
+
+    The memo is bounded in both directions: at most 256 spellings, and
+    only those of at most 64 characters (longer, padded ones are parsed
+    afresh).  A spelling that raises is never memoized.
+    """
+    memo = functools.lru_cache(maxsize=256)(canonicalize)
+
+    @functools.wraps(canonicalize)
+    def canonical(text: str) -> str:
+        return memo(text) if len(text) <= 64 else canonicalize(text)
+
+    return canonical
+
+
+@_memoized
+def _scaling_value(text: str) -> str:
+    return ScalingMode.parse(text).value
+
+
+@_memoized
+def _space_value(text: str) -> str:
+    return StrategySpace.parse(text).describe()
+
+
 def _canonical_scaling(payload: Mapping) -> str:
-    text = _str_field(payload, "scaling_mode", ScalingMode.PARALLELISM_AWARE.value)
+    text = _str_field(payload, "scaling_mode", _DEFAULT_SCALING)
     try:
-        return ScalingMode.parse(text).value
+        return _scaling_value(text)
     except ValueError as error:
         raise SchemaError(str(error)) from None
 
@@ -111,7 +147,7 @@ def _canonical_scaling(payload: Mapping) -> str:
 def _canonical_strategies(payload: Mapping) -> str:
     text = _str_field(payload, "strategies", "dp,mp")
     try:
-        return StrategySpace.parse(text).describe()
+        return _space_value(text)
     except ValueError as error:
         raise SchemaError(str(error)) from None
 
@@ -204,8 +240,20 @@ class ServiceRequest:
         return (self.kind, self.cache_key())
 
 
+class _FlatRequest(ServiceRequest):
+    """A schema whose fields are all ``str`` or ``int``, listed in
+    ``_FIELDS`` in declaration order.
+
+    Its canonical payload is a flat copy of the fields: the dict
+    ``dataclasses.asdict`` returns, without its deep-copy walk.
+    """
+
+    def canonical_payload(self) -> dict:
+        return {name: getattr(self, name) for name in self._FIELDS}
+
+
 @dataclasses.dataclass(frozen=True)
-class PartitionRequest(ServiceRequest):
+class PartitionRequest(_FlatRequest):
     """``POST /partition``: search HyPar's assignment for one network."""
 
     model: str
@@ -257,7 +305,7 @@ class PartitionRequest(ServiceRequest):
 
 
 @dataclasses.dataclass(frozen=True)
-class SimulateRequest(ServiceRequest):
+class SimulateRequest(_FlatRequest):
     """``POST /simulate``: search + simulate one grid point (MP/DP/HyPar)."""
 
     model: str
@@ -285,7 +333,7 @@ class SimulateRequest(ServiceRequest):
         # The canonical "analytic" default is *omitted* so every request
         # hash minted before the field existed stays valid; only network
         # requests carry (and hash) the engine.
-        payload = dataclasses.asdict(self)
+        payload = super().canonical_payload()
         if payload["sim_engine"] == DEFAULT_SIM_ENGINE:
             del payload["sim_engine"]
         return payload
@@ -558,12 +606,8 @@ def _canonical_spec(spec: SweepSpec) -> SweepSpec:
     return dataclasses.replace(
         spec,
         models=models,
-        scaling_modes=tuple(
-            ScalingMode.parse(mode).value for mode in spec.scaling_modes
-        ),
-        strategy_spaces=tuple(
-            StrategySpace.parse(space).describe() for space in spec.strategy_spaces
-        ),
+        scaling_modes=tuple(_scaling_value(mode) for mode in spec.scaling_modes),
+        strategy_spaces=tuple(_space_value(space) for space in spec.strategy_spaces),
         cost_models=tuple(
             _canonical_cost_model_spec(model) for model in spec.cost_models
         ),

@@ -18,16 +18,38 @@ background thread and parks the main thread on an event that SIGTERM /
 SIGINT set, so a signalled daemon drains through the same teardown path as
 a normal exit -- server socket closed, worker pool released (the
 engine's idempotent, signal-safe ``close``), exit code 0.
+
+The request path is kept lean, because a warm request is a dictionary
+lookup and most of its cost is framing:
+
+* :meth:`_Handler.parse_request` keeps the stdlib's request-line handling
+  and answers (400 bad syntax or version, 505 for HTTP >= 2.0, the
+  HTTP/0.9 rules, the ``//`` collapse), then reads the header lines with a
+  bounded ``readline`` under http.client's limits (431 for a line over
+  65536 bytes or for 100 header lines) into a case-folded dict where the
+  first occurrence wins -- no ``email.parser``.  A header line that is
+  not ``name: value`` (an obs-fold continuation, a bare CR, whitespace
+  before the colon) answers 400 where the stdlib would fold it or stop
+  reading headers early;
+* the body is framed by ``Content-Length`` alone: any
+  ``Transfer-Encoding`` answers 411 and conflicting ``Content-Length``
+  values answer 400, both with ``Connection: close``, since either would
+  leave the keep-alive stream misaligned;
+* each response -- status line, the stdlib's ``Server``/``Date`` headers,
+  ``Content-Type``, ``Content-Length``, an optional ``Connection:
+  close`` and the body -- goes out in one write.
 """
 
 from __future__ import annotations
 
 import gc
+import re
 import signal
 import socket
 import sys
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.service.app import JSON_CONTENT_TYPE, HyParService, _render
@@ -40,6 +62,17 @@ DEFAULT_PORT = 8100
 #: Largest accepted request body; a sweep spec is a few hundred bytes, so
 #: one megabyte is generous and bounds memory per request thread.
 MAX_BODY_BYTES = 1 << 20
+
+#: http.client's limits (``_MAXLINE``, ``_MAXHEADERS``), which the stdlib
+#: server applies to request headers: the longest header line, and the
+#: count of header lines (the blank line included) that is one too many.
+MAX_HEADER_LINE = 65536
+MAX_HEADERS = 100
+
+#: One ``name: value`` header line: a token-ish name (the characters
+#: ``email.parser`` accepts before the colon), optional blanks, then a
+#: value without CR or LF.  The stdlib keeps the value's trailing blanks.
+_HEADER_LINE = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)(?:\r?\n)?")
 
 
 class _BodyError(Exception):
@@ -57,10 +90,120 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive: warm clients reuse one connection for a request burst.
     protocol_version = "HTTP/1.1"
     server_version = "hypar-serve"
-    # Headers and body go out as separate writes; without TCP_NODELAY the
-    # Nagle / delayed-ACK interaction adds ~40 ms to every exchange, two
+    # Responses go out in one write, but a 100 Continue and the error
+    # pages of send_error still take several; without TCP_NODELAY the
+    # Nagle / delayed-ACK interaction adds ~40 ms to such an exchange, two
     # orders of magnitude above a warm cache hit.
     disable_nagle_algorithm = True
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the header lines off ``rfile``.
+
+        The request line is handled as
+        :meth:`BaseHTTPRequestHandler.parse_request` handles it, with the
+        same error answers; ``self.headers`` becomes a dict of lower-cased
+        names to first-occurrence values (what ``Message.get`` returns).
+        Returns False once an error has been answered.
+        """
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                version_number = base_version_number.split(".")
+                if len(version_number) != 2:
+                    raise ValueError
+                if any(not part.isdigit() or len(part) > 10 for part in version_number):
+                    raise ValueError
+                version_number = int(version_number[0]), int(version_number[1])
+            except (ValueError, IndexError):
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version
+                )
+                return False
+            if version_number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if version_number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    "Invalid HTTP version (%s)" % base_version_number,
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command
+                )
+                return False
+        self.command, self.path = command, path
+        # gh-87389: a path starting with '//' reads as a scheme-less URL.
+        if path.startswith("//"):
+            self.path = "/" + path.lstrip("/")
+
+        headers: dict[str, str] = {}
+        self._conflicting_length = False
+        readline = self.rfile.readline
+        count = 0
+        while True:
+            line = readline(MAX_HEADER_LINE + 1)
+            if len(line) > MAX_HEADER_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {MAX_HEADER_LINE} bytes when reading header line",
+                )
+                return False
+            count += 1
+            if count > MAX_HEADERS:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {MAX_HEADERS} headers",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            match = _HEADER_LINE.fullmatch(line)
+            if match is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line", repr(line))
+                return False
+            name = match[1].decode("ascii").lower()
+            value = match[2].decode("iso-8859-1")
+            first = headers.setdefault(name, value)
+            if name == "content-length" and first.strip() != value.strip():
+                # Two framings for one body; _read_body answers 400.
+                self._conflicting_length = True
+        self.headers = headers
+
+        conntype = headers.get("connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._respond("GET")
@@ -135,7 +278,17 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> bytes | None:
-        raw = self.headers.get("Content-Length")
+        if "transfer-encoding" in self.headers:
+            # The body is framed by Content-Length alone; a chunked body
+            # left unread would be parsed as the next request.
+            raise _BodyError(
+                411,
+                "Transfer-Encoding is not supported; send the body with a "
+                "Content-Length header",
+            )
+        if self._conflicting_length:
+            raise _BodyError(400, "conflicting Content-Length headers")
+        raw = self.headers.get("content-length")
         if raw is None or not raw.strip():
             return None
         try:
@@ -155,15 +308,26 @@ class _Handler(BaseHTTPRequestHandler):
         return self.rfile.read(length) if length else None
 
     def _send(self, status: int, response: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", JSON_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(response)))
+        """The head ``send_response`` + ``send_header`` would build, and
+        the body, in one write."""
+        self.log_request(status)
+        if self.request_version == "HTTP/0.9":
+            # The stdlib sends an HTTP/0.9 client the body alone.
+            self.wfile.write(response)
+            return
+        reason = self.responses[status][0] if status in self.responses else ""
+        head = (
+            f"{self.protocol_version} {status} {reason}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {JSON_CONTENT_TYPE}\r\n"
+            f"Content-Length: {len(response)}\r\n"
+        )
         if self.close_connection:
             # Advertise the close we are about to perform (body-error
             # paths desynchronize the keep-alive stream).
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(response)
+            head += "Connection: close\r\n"
+        self.wfile.write(f"{head}\r\n".encode("latin-1") + response)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if getattr(self.server, "log_requests", False):

@@ -351,12 +351,22 @@ class TestCompiledHierarchicalScorers:
         assert compiled_table.argmin_assignment() == numpy_table.argmin_assignment()
 
     def test_parallel_scorer_tiny_chunks_are_byte_identical(self):
-        """Chunk boundaries never leak into the prange leg's totals."""
+        """Chunk boundaries never leak into the prange leg's totals.
+
+        Tiny chunks rescore two fixed windows of the 2**20 codes, the
+        first and the last 4096, against the full-array baseline: one
+        Python-level chunk per code or three makes all of them a
+        five-minute rescore.  The NumPy scorer's own tiny-chunk identity
+        is ``test_property_fastpaths.py::TestChunkSizeByteIdentity``'s.
+        """
         table = HierarchicalCostTable(resnet_s(), 64, 2, backend="compiled-parallel")
         codes = np.arange(table.num_assignments, dtype=np.int64)
         baseline = table.score_codes(codes)
-        for chunk in (1, 3, 7):
-            assert np.array_equal(table.score_codes(codes, chunk_size=chunk), baseline)
+        for window in (slice(0, 4096), slice(-4096, None)):
+            for chunk in (1, 3, 7):
+                assert np.array_equal(
+                    table.score_codes(codes[window], chunk_size=chunk), baseline[window]
+                )
 
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
     def test_restricted_sweep_rides_the_compiled_table(self, backend):

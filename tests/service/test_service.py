@@ -260,6 +260,47 @@ class TestTransportHardening:
         assert b"Connection: close" in response
         assert response.count(b"HTTP/1.1") == 1
 
+    def test_chunked_body_is_a_411_and_closes_the_connection(self, live_server):
+        # Left unread, the chunk-size line would be parsed as the next
+        # request and answered with a second, unasked-for 400.
+        body = b'{"model":"SFC"}'
+        response = self._raw_exchange(
+            live_server,
+            b"POST /partition HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n",
+        )
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert b"Connection: close" in head
+        assert "Transfer-Encoding" in json.loads(payload)["error"]
+        assert response.count(b"HTTP/1.1") == 1
+
+    def test_conflicting_content_lengths_are_a_400_and_close(self, live_server):
+        body = b'{"model":"SFC"}'
+        response = self._raw_exchange(
+            live_server,
+            b"POST /partition HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\ncontent-length: 3\r\n\r\n" % len(body) + body,
+        )
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "conflicting Content-Length" in json.loads(payload)["error"]
+        assert response.count(b"HTTP/1.1") == 1
+
+    def test_repeated_equal_content_length_is_accepted(self, live_server):
+        body = b'{"model":"SFC","batch_size":64,"num_accelerators":4}'
+        response = self._raw_exchange(
+            live_server,
+            b"POST /partition HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\nContent-Length: %d \r\n\r\n" % (len(body), len(body))
+            + body,
+        )
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(payload)["model"] == "SFC"
+
 
 class TestServiceUnit:
     def test_lru_evicts_at_cache_size(self):
