@@ -14,7 +14,9 @@ sweep worker pool -- survives across requests:
 * :mod:`repro.service.server` -- ``ThreadingHTTPServer`` layer and the
   signal-driven ``serve`` loop behind ``hypar serve``;
 * :mod:`repro.service.client` -- a thin stdlib client for tests, benches
-  and scripts.
+  and scripts;
+* :mod:`repro.service.framing` -- the bounded header-line reader both
+  ends share.
 
 See the "Service layer" section of DESIGN.md for the endpoint table,
 cache-key recipe and threading model.  The CLI remains the batch path;

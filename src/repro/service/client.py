@@ -41,12 +41,8 @@ import socket
 import time
 from typing import BinaryIO
 
-#: http.client's limits: the longest status or header line, and the count
-#: of header lines (the blank line included) that is one too many.
-MAX_LINE = 65536
-MAX_HEADERS = 100
+from repro.service.framing import MAX_LINE, header_fields
 
-_HEADER_LINE = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)(?:\r?\n)?")
 #: What http.client refuses in a request target (CVE-2019-9740).
 _BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
 #: Methods http.client sends ``Content-Length: 0`` for when bodiless.
@@ -69,20 +65,9 @@ class ServiceClientError(RuntimeError):
 def _read_headers(reader: BinaryIO) -> dict[str, str]:
     """Header lines up to the blank line: lower-cased name -> first value."""
     headers: dict[str, str] = {}
-    count = 0
-    while True:
-        line = reader.readline(MAX_LINE + 1)
-        if len(line) > MAX_LINE:
-            raise http.client.LineTooLong("header line")
-        count += 1
-        if count > MAX_HEADERS:
-            raise http.client.HTTPException(f"got more than {MAX_HEADERS} headers")
-        if line in (b"\r\n", b"\n", b""):
-            return headers
-        match = _HEADER_LINE.fullmatch(line)
-        if match is None:
-            raise http.client.HTTPException(f"malformed header line {line!r}")
-        headers.setdefault(match[1].decode("ascii").lower(), match[2].decode("iso-8859-1"))
+    for name, value in header_fields(reader.readline):
+        headers.setdefault(name, value)
+    return headers
 
 
 def _read_status(reader: BinaryIO) -> tuple[str, int]:
@@ -138,20 +123,15 @@ def read_response(reader: BinaryIO, method: str = "GET") -> tuple[int, bytes, bo
             or "keep-alive" in connection
             or "keep-alive" in headers.get("proxy-connection", "").lower()
         )
-    length = None
-    if headers.get("content-length"):
-        try:
-            length = int(headers["content-length"])
-        except ValueError:
-            pass
-        else:
-            if length < 0:
-                length = None
+    try:
+        length = int(headers.get("content-length", ""))
+    except ValueError:
+        length = -1
     if status in (204, 304) or status < 200 or method == "HEAD":
         length = 0
-    if length is None:
+    if length < 0:  # no usable length: the body runs to the peer's close
         return status, reader.read(), True
-    body = reader.read(length) if length else b""
+    body = reader.read(length)
     if len(body) < length:
         raise http.client.IncompleteRead(body, length - len(body))
     return status, body, will_close

@@ -24,10 +24,11 @@ lookup and most of its cost is framing:
 
 * :meth:`_Handler.parse_request` keeps the stdlib's request-line handling
   and answers (400 bad syntax or version, 505 for HTTP >= 2.0, the
-  HTTP/0.9 rules, the ``//`` collapse), then reads the header lines with a
-  bounded ``readline`` under http.client's limits (431 for a line over
-  65536 bytes or for 100 header lines) into a case-folded dict where the
-  first occurrence wins -- no ``email.parser``.  A header line that is
+  HTTP/0.9 rules, the ``//`` collapse), then reads the header lines with
+  :func:`~repro.service.framing.header_fields`, a bounded ``readline``
+  under http.client's limits (431 for a line over 65536 bytes or for 100
+  header lines), into a case-folded dict where the first occurrence wins
+  -- no ``email.parser``.  A header line that is
   not ``name: value`` (an obs-fold continuation, a bare CR, whitespace
   before the colon) answers 400 where the stdlib would fold it or stop
   reading headers early;
@@ -43,7 +44,7 @@ lookup and most of its cost is framing:
 from __future__ import annotations
 
 import gc
-import re
+import http.client
 import signal
 import socket
 import sys
@@ -54,6 +55,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.service.app import JSON_CONTENT_TYPE, HyParService, _render
 from repro.service.cache import DEFAULT_CACHE_SIZE
+from repro.service.framing import BadHeaderLine, header_fields
 
 #: Default bind address; loopback-only, this is an internal service.
 DEFAULT_HOST = "127.0.0.1"
@@ -62,17 +64,6 @@ DEFAULT_PORT = 8100
 #: Largest accepted request body; a sweep spec is a few hundred bytes, so
 #: one megabyte is generous and bounds memory per request thread.
 MAX_BODY_BYTES = 1 << 20
-
-#: http.client's limits (``_MAXLINE``, ``_MAXHEADERS``), which the stdlib
-#: server applies to request headers: the longest header line, and the
-#: count of header lines (the blank line included) that is one too many.
-MAX_HEADER_LINE = 65536
-MAX_HEADERS = 100
-
-#: One ``name: value`` header line: a token-ish name (the characters
-#: ``email.parser`` accepts before the colon), optional blanks, then a
-#: value without CR or LF.  The stdlib keeps the value's trailing blanks.
-_HEADER_LINE = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)(?:\r?\n)?")
 
 
 class _BodyError(Exception):
@@ -99,12 +90,52 @@ class _Handler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         """Parse ``raw_requestline`` and the header lines off ``rfile``.
 
-        The request line is handled as
-        :meth:`BaseHTTPRequestHandler.parse_request` handles it, with the
-        same error answers; ``self.headers`` becomes a dict of lower-cased
-        names to first-occurrence values (what ``Message.get`` returns).
-        Returns False once an error has been answered.
+        Answers what :meth:`BaseHTTPRequestHandler.parse_request` answers,
+        but ``self.headers`` is a dict of lower-cased names to their first
+        values (what ``Message.get`` returns), read by
+        :func:`~repro.service.framing.header_fields`.  Returns False once
+        an error has been answered.
         """
+        if not self._parse_request_line():
+            return False
+        headers: dict[str, str] = {}
+        self._conflicting_length = False
+        try:
+            for name, value in header_fields(self.rfile.readline):
+                first = headers.setdefault(name, value)
+                if name == "content-length" and first.strip() != value.strip():
+                    # Two framings for one body; _read_body answers 400.
+                    self._conflicting_length = True
+        except BadHeaderLine as error:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line", str(error))
+            return False
+        except http.client.LineTooLong as error:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", str(error)
+            )
+            return False
+        except http.client.HTTPException as error:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers", str(error)
+            )
+            return False
+        self.headers = headers
+
+        conntype = headers.get("connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _parse_request_line(self) -> bool:
+        """The request-line half of the stdlib's ``parse_request``."""
         self.command = None
         self.request_version = version = self.default_request_version
         self.close_connection = True
@@ -156,53 +187,6 @@ class _Handler(BaseHTTPRequestHandler):
         # gh-87389: a path starting with '//' reads as a scheme-less URL.
         if path.startswith("//"):
             self.path = "/" + path.lstrip("/")
-
-        headers: dict[str, str] = {}
-        self._conflicting_length = False
-        readline = self.rfile.readline
-        count = 0
-        while True:
-            line = readline(MAX_HEADER_LINE + 1)
-            if len(line) > MAX_HEADER_LINE:
-                self.send_error(
-                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                    "Line too long",
-                    f"got more than {MAX_HEADER_LINE} bytes when reading header line",
-                )
-                return False
-            count += 1
-            if count > MAX_HEADERS:
-                self.send_error(
-                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                    "Too many headers",
-                    f"got more than {MAX_HEADERS} headers",
-                )
-                return False
-            if line in (b"\r\n", b"\n", b""):
-                break
-            match = _HEADER_LINE.fullmatch(line)
-            if match is None:
-                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line", repr(line))
-                return False
-            name = match[1].decode("ascii").lower()
-            value = match[2].decode("iso-8859-1")
-            first = headers.setdefault(name, value)
-            if name == "content-length" and first.strip() != value.strip():
-                # Two framings for one body; _read_body answers 400.
-                self._conflicting_length = True
-        self.headers = headers
-
-        conntype = headers.get("connection", "").lower()
-        if conntype == "close":
-            self.close_connection = True
-        elif conntype == "keep-alive" and self.protocol_version >= "HTTP/1.1":
-            self.close_connection = False
-        if (
-            headers.get("expect", "").lower() == "100-continue"
-            and self.protocol_version >= "HTTP/1.1"
-            and self.request_version >= "HTTP/1.1"
-        ):
-            return self.handle_expect_100()
         return True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API

@@ -49,7 +49,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.service import build_server
-from repro.service.client import MAX_HEADERS, MAX_LINE, read_response
+from repro.service.client import read_response
+from repro.service.framing import MAX_HEADERS, MAX_LINE, BadHeaderLine
 from repro.service.server import JSON_CONTENT_TYPE, _Handler
 
 # ----------------------------------------------------------------------
@@ -367,7 +368,7 @@ class TestReadResponseMatchesHttpClient:
     def test_malformed_header_line_raises(self, header_line):
         stream = b"HTTP/1.1 200 OK\r\n" + header_line + b"\r\nabc"
         assert not isinstance(_stdlib_read(stream), type)
-        assert _lean_read(stream) is http.client.HTTPException
+        assert _lean_read(stream) is BadHeaderLine
 
 
 # ----------------------------------------------------------------------
