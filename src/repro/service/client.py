@@ -45,8 +45,6 @@ from repro.service.framing import MAX_LINE, header_fields
 
 #: What http.client refuses in a request target (CVE-2019-9740).
 _BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
-#: Methods http.client sends ``Content-Length: 0`` for when bodiless.
-_METHODS_EXPECTING_BODY = frozenset({"PATCH", "POST", "PUT"})
 
 
 class ServiceClientError(RuntimeError):
@@ -190,8 +188,7 @@ class ServiceClient:
         self.jitter = jitter
         self._rng = rng if rng is not None else random.Random(0)
         self.retried = 0
-        netloc = f"[{host}]" if ":" in host else host
-        self._host_header = netloc if port == 80 else f"{netloc}:{port}"
+        self._host_header = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
         self._sock: socket.socket | None = None
         self._reader: BinaryIO | None = None
 
@@ -280,13 +277,10 @@ class ServiceClient:
             f"{method} {path} HTTP/1.1\r\nHost: {self._host_header}\r\n"
             "Accept-Encoding: identity\r\n"
         )
+        body = b""
         if payload is not None:
             body = json.dumps(payload).encode()
             head += f"Content-Length: {len(body)}\r\nContent-Type: application/json\r\n"
-        else:
-            body = b""
-            if method in _METHODS_EXPECTING_BODY:
-                head += "Content-Length: 0\r\n"
         return f"{head}\r\n".encode("ascii") + body
 
     def _checked(self, method: str, path: str, payload=None) -> dict:

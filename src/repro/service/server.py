@@ -28,10 +28,9 @@ lookup and most of its cost is framing:
   :func:`~repro.service.framing.header_fields`, a bounded ``readline``
   under http.client's limits (431 for a line over 65536 bytes or for 100
   header lines), into a case-folded dict where the first occurrence wins
-  -- no ``email.parser``.  A header line that is
-  not ``name: value`` (an obs-fold continuation, a bare CR, whitespace
-  before the colon) answers 400 where the stdlib would fold it or stop
-  reading headers early;
+  -- no ``email.parser``.  A header line that is not ``name: value`` (an
+  obs-fold continuation, a bare CR, whitespace before the colon) answers
+  400 where the stdlib would fold it or stop reading headers early;
 * the body is framed by ``Content-Length`` alone: any
   ``Transfer-Encoding`` answers 411 and conflicting ``Content-Length``
   values answer 400, both with ``Connection: close``, since either would
