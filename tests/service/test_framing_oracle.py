@@ -295,7 +295,8 @@ def response_streams(draw) -> bytes:
     parts = []
     for _ in range(draw(st.integers(0, 2))):
         parts.append("HTTP/1.1 100 Continue\r\n")
-        parts.extend(f"{name}: {value}\r\n" for name, value in draw(st.lists(_RESPONSE_HEADERS, max_size=2)))
+        interim = draw(st.lists(_RESPONSE_HEADERS, max_size=2))
+        parts.extend(f"{name}: {value}\r\n" for name, value in interim)
         parts.append("\r\n")
     shape = draw(st.sampled_from(["plain", "plain", "plain", "odd-status", "count", "long"]))
     if shape == "odd-status":
@@ -348,7 +349,8 @@ class TestReadResponseMatchesHttpClient:
             b"HTTP/1.1 200 OK\r\nServer: hypar-serve\r\nContent-Type: application/json\r\n"
             b"Content-Length: %d\r\n\r\n" % len(first) + first + b"HTTP/1.1 404 Not Found\r\n"
         )
-        assert _lean_read(stream) == _stdlib_read(stream) == (200, first, False, stream.index(b"HTTP/1.1 404"))
+        expected = (200, first, False, stream.index(b"HTTP/1.1 404"))
+        assert _lean_read(stream) == _stdlib_read(stream) == expected
 
     def test_truncated_body_raises_incomplete_read(self):
         stream = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc"
@@ -406,7 +408,8 @@ WIRE_REQUESTS = {
     % len(_PARTITION) + _PARTITION,
     "partition-expect-100": b"POST /partition HTTP/1.1\r\nExpect: 100-continue\r\n"
     b"Content-Length: %d\r\n\r\n" % len(_PARTITION) + _PARTITION,
-    "connection-close": b"GET /strategies HTTP/1.1\r\nConnection: close\r\n\r\nGET /models HTTP/1.1\r\n\r\n",
+    "connection-close": b"GET /strategies HTTP/1.1\r\nConnection: close\r\n\r\n"
+    b"GET /models HTTP/1.1\r\n\r\n",
     "models-http-0.9": b"GET /models\r\n\r\n",
     "not-found": b"GET /nope HTTP/1.1\r\n\r\n",
     "wrong-method": b"GET /partition HTTP/1.1\r\n\r\n",
