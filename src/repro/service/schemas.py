@@ -40,9 +40,6 @@ from repro.sweep.spec import PRESETS, TOPOLOGY_NAMES, SweepSpec
 
 #: Default array size (the paper's sixteen-accelerator platform).
 DEFAULT_NUM_ACCELERATORS = 16
-#: The default scaling mode's canonical spelling (an enum lookup per use
-#: otherwise).
-_DEFAULT_SCALING = ScalingMode.PARALLELISM_AWARE.value
 
 
 class SchemaError(ValueError):
@@ -137,7 +134,7 @@ def _space_value(text: str) -> str:
 
 
 def _canonical_scaling(payload: Mapping) -> str:
-    text = _str_field(payload, "scaling_mode", _DEFAULT_SCALING)
+    text = _str_field(payload, "scaling_mode", ScalingMode.PARALLELISM_AWARE.value)
     try:
         return _scaling_value(text)
     except ValueError as error:
