@@ -150,6 +150,16 @@ class TestRequestDeadline:
         assert health["requests"]["timeouts"] == 1
         assert health["requests"]["stale_served"] == 0
 
+    def test_client_reopens_after_a_closing_answer_without_retrying(self):
+        # The 504 carries Connection: close; reusing the closed socket
+        # would fail the next request and count a retry.
+        plan = FaultPlan(compute_delays=(0,), compute_delay_seconds=5.0)
+        with _live_server(request_timeout=0.2, fault_plan=plan) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                assert client.request("POST", "/partition", PARTITION_FIELDS).status == 504
+                assert client.healthz()["requests"]["timeouts"] == 1
+                assert client.retried == 0
+
     def test_fast_requests_are_unaffected_by_the_deadline(self):
         with _live_server(request_timeout=30.0) as server:
             with ServiceClient("127.0.0.1", server.port) as client:
