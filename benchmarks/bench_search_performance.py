@@ -11,10 +11,8 @@ import importlib.util
 import os
 import time
 
-import numpy as np
 import pytest
 
-from repro.core import kernels
 from repro.core.costmodel import resolve_cost_model
 from repro.core.costs import CostTable, HierarchicalCostTable
 from repro.core.hierarchical import HierarchicalPartitioner
@@ -22,7 +20,7 @@ from repro.core.partitioner import TwoWayPartitioner
 from repro.core.tensors import model_tensors
 from repro.nn.layers import ConvLayer
 from repro.nn.model import build_model
-from repro.nn.model_zoo import gpt_r, gpt_s, lenet_c, resnet_s, vgg_e
+from repro.nn.model_zoo import gpt_r, gpt_s, lenet_c, vgg_e
 
 from conftest import emit
 
@@ -306,102 +304,3 @@ def test_profiled_table_compile_overhead(benchmark):
         f"overhead: {overhead:.2f}x",
     )
 
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_dag_dp_compiled(benchmark):
-    """Compiled DAG cut-vertex DP vs the NumPy oracle on long branches.
-
-    A 34-layer synthetic chain with two skip edges spanning 16 layers each
-    gives the cut-vertex DP two branch interiors of 2**15 candidate
-    patterns -- exactly the batched enumeration the ``@njit`` block scorer
-    accelerates.  The cold NumPy side runs like-for-like in-process, the
-    measured self-relative ratio lands in ``extra_info`` as
-    ``dag_compiled_speedup`` (floor >= 2x, enforced both here and by
-    ``scripts/check_bench_regression.py``), and bit-exact agreement with
-    the oracle is asserted on every run.  Skips without numba, so the
-    committed baseline (regenerated on a numba-less machine) omits it; the
-    floor binds in the numba CI leg.
-    """
-    tensors = model_tensors(_synthetic_network(34), 32)
-    edges = [(i, i + 1) for i in range(33)] + [(0, 16), (17, 33)]
-    compiled_table = CostTable.from_tensors(tensors, edges=edges, backend="compiled")
-    numpy_table = CostTable.from_tensors(tensors, edges=edges, backend="numpy")
-    compiled_table.dp_partition()  # warm the JIT outside the timed rounds
-
-    result = benchmark(compiled_table.dp_partition)
-
-    cold_rounds = []
-    for _ in range(3):
-        start = time.perf_counter()
-        cold = numpy_table.dp_partition()
-        cold_rounds.append(time.perf_counter() - start)
-    assert cold.communication_bytes == result.communication_bytes
-    assert cold.assignment.choices == result.assignment.choices
-
-    cold_seconds = min(cold_rounds)
-    compiled_seconds = benchmark.stats.stats.min
-    speedup = cold_seconds / compiled_seconds
-    benchmark.extra_info["layers"] = len(tensors)
-    benchmark.extra_info["cold_seconds"] = cold_seconds
-    benchmark.extra_info["compiled_seconds"] = compiled_seconds
-    benchmark.extra_info["dag_compiled_speedup"] = speedup
-    emit(
-        "Compiled DAG cut-vertex DP: synthetic-34 + two 16-layer skips",
-        f"numpy   : {cold_seconds * 1e3:.2f} ms\n"
-        f"compiled: {compiled_seconds * 1e3:.2f} ms\n"
-        f"speedup : {speedup:.1f}x",
-    )
-    assert speedup >= 2.0, (
-        f"compiled DAG DP must be >= 2x the NumPy path, got {speedup:.1f}x"
-    )
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-@pytest.mark.parametrize("backend", ["compiled", "compiled-parallel"])
-def test_hierarchical_scoring_compiled(benchmark, backend):
-    """Compiled hierarchical level scorers vs the NumPy gather loops.
-
-    Scores a 2**16-candidate slab of ``resnet_s`` hierarchical codes --
-    the batched inner loop behind the Figure-9/10 restricted sweeps and
-    ``exhaustive_hierarchical``.  Records the self-relative ratio as
-    ``hier_compiled_speedup`` / ``hier_parallel_speedup`` (floor >= 2x
-    each); byte-identical totals against the NumPy table are asserted on
-    every run.
-    """
-    model = resnet_s()
-    compiled_table = HierarchicalCostTable(model, 64, 3, backend=backend)
-    numpy_table = HierarchicalCostTable(model, 64, 3, backend="numpy")
-    codes = np.arange(
-        min(1 << 16, compiled_table.num_assignments), dtype=np.int64
-    )
-    compiled_table.score_codes(codes[:64])  # warm the JIT
-
-    totals = benchmark(compiled_table.score_codes, codes)
-
-    cold_rounds = []
-    for _ in range(3):
-        start = time.perf_counter()
-        baseline = numpy_table.score_codes(codes)
-        cold_rounds.append(time.perf_counter() - start)
-    assert np.array_equal(totals, baseline)
-
-    cold_seconds = min(cold_rounds)
-    compiled_seconds = benchmark.stats.stats.min
-    speedup = cold_seconds / compiled_seconds
-    key = (
-        "hier_parallel_speedup" if backend == "compiled-parallel"
-        else "hier_compiled_speedup"
-    )
-    benchmark.extra_info["candidates"] = int(codes.size)
-    benchmark.extra_info["cold_seconds"] = cold_seconds
-    benchmark.extra_info["compiled_seconds"] = compiled_seconds
-    benchmark.extra_info[key] = speedup
-    emit(
-        f"Compiled hierarchical scoring ({backend}): resnet_s, {codes.size} codes",
-        f"numpy   : {cold_seconds * 1e3:.2f} ms\n"
-        f"compiled: {compiled_seconds * 1e3:.2f} ms\n"
-        f"speedup : {speedup:.1f}x",
-    )
-    assert speedup >= 2.0, (
-        f"compiled hierarchical scoring must be >= 2x NumPy, got {speedup:.1f}x"
-    )

@@ -53,16 +53,6 @@ SPEEDUP_FLOORS = {
     # deep transformer vs the cold NumPy layer loop
     # (bench_search_performance.py::test_deep_transformer_dp_memoized).
     "deep_dp_speedup": 10.0,
-    # Compiled (numba) kernels vs the NumPy oracle, measured in-process
-    # by bench_search_performance.py on machines with numba installed:
-    # the DAG cut-vertex DP (test_dag_dp_compiled) and the hierarchical
-    # level scorer (test_hierarchical_scoring_compiled).  These benches
-    # skip without numba -- a baseline regenerated on a numba-less
-    # machine omits them -- so the floors are also enforced on
-    # current-run-only benchmarks (see below).
-    "dag_compiled_speedup": 2.0,
-    "hier_compiled_speedup": 2.0,
-    "hier_parallel_speedup": 2.0,
     # Columnar HierarchicalCostTable compile vs the per-entry compile it
     # replaced, on gpt_s-30 at 6 levels
     # (bench_search_performance.py::test_hierarchical_table_compile).
@@ -172,9 +162,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"(floor {floor:.0f}x)"
                 )
 
-    # Benchmarks only the current run recorded (e.g. the numba-gated
-    # compiled-kernel benches on a machine whose committed baseline was
-    # regenerated without numba) have no latency baseline, but their
+    # Benchmarks only the current run recorded (any bench newer than the
+    # committed baseline) have no latency baseline, but their
     # self-relative speedup floors still bind.
     for name in sorted(set(current) - set(baseline)):
         for key, floor in SPEEDUP_FLOORS.items():

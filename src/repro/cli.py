@@ -90,7 +90,6 @@ from typing import Sequence
 # validators come from these modules.  Anything else is imported by the
 # handler that runs it, so a command loads only what it uses.
 from repro.accelerator.array import ArrayConfig
-from repro.core import kernels
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import DEFAULT_SPACE, StrategySpace
 from repro.core.strategies import registered_strategies
@@ -177,7 +176,6 @@ def _add_platform_options(
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     _add_platform_options(parser)
-    _add_backend_option(parser)
     _add_cost_model_option(parser)
 
 
@@ -202,20 +200,6 @@ def _add_sim_engine_option(parser: argparse.ArgumentParser) -> None:
         "model) or 'network' (contention-aware discrete-event simulation "
         "of the physical links; see repro.sim.network; "
         "default: %(default)s)",
-    )
-
-
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=kernels.VALID_BACKENDS,
-        default=None,
-        help="cost-table kernel backend; 'compiled' uses the optional numba "
-        "kernels (chain DP, DAG cut-vertex DP and batched scorers) when "
-        "installed and silently falls back to the bit-identical NumPy path "
-        "otherwise; 'compiled-parallel' additionally scores candidates "
-        "across threads with numba prange (default: the process default, "
-        "numpy)",
     )
 
 
@@ -479,9 +463,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         spec = dataclasses.replace(spec, sim_engines=(args.sim_engine,))
     print(spec.describe())
-    # The backend is passed explicitly (not just set as the process
-    # default) so spawn-started workers adopt it too.
-    with SweepEngine(workers=args.workers, backend=args.backend) as engine:
+    with SweepEngine(workers=args.workers) as engine:
         result = run_sweep(spec, engine=engine)
 
     header = f"{'point':<52s} {'speedup':>9s} {'energy':>9s} {'comm GB':>9s}"
@@ -766,7 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--list", action="store_true", help="list the built-in sweep presets"
     )
-    _add_backend_option(sweep_parser)
     _add_cost_model_option(sweep_parser)
     _add_sim_engine_option(sweep_parser)
     sweep_parser.set_defaults(handler=_cmd_sweep)
@@ -828,7 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for --fault-preset schedules (default: %(default)s)",
     )
-    _add_backend_option(serve_parser)
     _add_cost_model_option(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
 
@@ -945,7 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_platform_options(simulate_parser, accelerator_type=_array_size)
     _add_sim_engine_option(simulate_parser)
-    _add_backend_option(simulate_parser)
     simulate_parser.set_defaults(handler=_cmd_simulate)
 
     return parser
@@ -955,12 +934,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``hypar`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None) is not None:
-        # The process-wide default: every table compiled without an
-        # explicit backend= follows it, and SweepEngine ships it to its
-        # workers through the pool initializer (so spawn-started workers
-        # match fork-started ones).  Explicit per-request backends win.
-        kernels.set_default_backend(args.backend)
     return args.handler(args)
 
 

@@ -86,7 +86,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.communication import CommunicationModel
 from repro.core.parallelism import (
     DEFAULT_SPACE,
@@ -175,7 +174,7 @@ def _resolve_chunk_size(chunk_size: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# Chain-DP inner loop: NumPy / compiled advancement plus block-repetition
+# Chain-DP inner loop: NumPy / Python-float advancement plus block-repetition
 # memoization.  Shared by CostTable.dp_partition and WarmStartDP.solve.
 # ----------------------------------------------------------------------
 
@@ -258,20 +257,6 @@ def _advance_chain_floats(
         frontier_rows.append(advanced)
     parents[start - 1 : stop - 1] = parent_rows
     frontiers[start:stop] = frontier_rows
-
-
-def _chain_advancer(backend: str, memoize: bool = True):
-    """The layer-advancement routine for a resolved backend name.
-
-    Both compiled variants share the serial chain kernel: the recurrence
-    is sequential in the layer axis, so there is nothing for the
-    ``prange`` leg to parallelize.  On NumPy, ``memoize=False`` -- the
-    cold oracle run -- steps on the NumPy loop that the Python-float
-    step is checked against.
-    """
-    if backend in kernels.COMPILED_BACKENDS and kernels.NUMBA_AVAILABLE:
-        return kernels.chain_dp_compiled
-    return _advance_chain_floats if memoize else _advance_chain_numpy
 
 
 def _detect_periodic_region(
@@ -419,22 +404,21 @@ def _chain_dp_run(
     parents: np.ndarray,
     frontiers: np.ndarray,
     *,
-    backend: str,
     memoize: bool = True,
 ) -> tuple[np.ndarray, int]:
     """Fill ``parents`` / ``frontiers`` for layers ``[start, L)``.
 
     The single chain-DP driver behind :meth:`CostTable.dp_partition` and
-    :class:`WarmStartDP`: advances the recurrence with the selected
-    backend (:func:`_chain_advancer`) and, when ``memoize`` is on and the
-    chain's transitions repeat
-    (transformer blocks), replays converged period blocks by translation
-    (:func:`_try_periodic_jump`) instead of stepping them.  Returns the
-    final frontier and the number of layers filled by jumps; every filled
-    row is bit-exact with cold stepping.
+    :class:`WarmStartDP`: advances the recurrence on Python floats (on the
+    NumPy loop for ``memoize=False``, the cold oracle run the float step
+    is checked against) and, when ``memoize`` is on and the chain's
+    transitions repeat (transformer blocks), replays converged period
+    blocks by translation (:func:`_try_periodic_jump`) instead of stepping
+    them.  Returns the final frontier and the number of layers filled by
+    jumps; every filled row is bit-exact with cold stepping.
     """
     num_layers = intra.shape[0]
-    advance = _chain_advancer(backend, memoize)
+    advance = _advance_chain_floats if memoize else _advance_chain_numpy
     if not memoize or num_layers - start < _MEMOIZE_MIN_LAYERS:
         advance(intra, inter, parents, frontiers, start, num_layers)
         return frontiers[num_layers - 1], 0
@@ -590,21 +574,6 @@ class _TableLayout:
             (edge_index, edges[edge_index][0] - block_start, edges[edge_index][1] - block_start)
             for edge_index in self.edges_into(block_start, block_end)
         ]
-
-    @functools.cached_property
-    def kernel_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(edge_index, source, destination)`` arrays for the DAG kernels.
-
-        Grouped by destination with a *stable* sort, so each merge layer's
-        incoming edges keep their canonical relative order and the
-        kernels' per-destination accumulation is bit-exact with the NumPy
-        edge loop.
-        """
-        order, destinations = self._by_destination
-        edge_index = np.array(order, dtype=np.int64)
-        edge_source = np.array([self.edges[e][0] for e in order], dtype=np.int64)
-        edge_destination = np.array(destinations, dtype=np.int64)
-        return edge_index, edge_source, edge_destination
 
     @functools.cached_property
     def cuts(self) -> list[int]:
@@ -1094,15 +1063,6 @@ class CostTable:
         The canonical ``(source, destination)`` edge list the ``inter``
         axis is indexed by (ordered by destination, then input position);
         ``None`` normalizes to the chain.
-    backend:
-        Kernel backend for the search hot paths: ``"numpy"`` (the
-        vectorized loops), ``"compiled"`` (numba ``@njit`` kernels for
-        the chain DP, the DAG cut-vertex DP and the batched scorers,
-        silently falling back to NumPy when numba is absent),
-        ``"compiled-parallel"`` (the same kernels with ``prange``
-        candidate scoring), or ``None`` to follow the process default
-        (:func:`repro.core.kernels.get_default_backend`), resolved at
-        each use.  Backends are bit-exact with each other.
     """
 
     intra: np.ndarray
@@ -1111,7 +1071,6 @@ class CostTable:
     communication_model: CommunicationModel
     strategies: StrategySpace = DEFAULT_SPACE
     edges: tuple[tuple[int, int], ...] | None = None
-    backend: str | None = None
     #: The edge structure shared by the level tables of one
     #: :class:`HierarchicalCostTable`, which pass it without ``edges``;
     #: ``None`` builds the table's own on first use.
@@ -1129,8 +1088,6 @@ class CostTable:
                 # ``dataclasses.replace`` with another structure.
                 object.__setattr__(self, "_layout", None)
         object.__setattr__(self, "edges", edges)
-        kernels.validate_backend(self.backend)
-        kernels.warn_numba_fallback(self.backend)
 
     @property
     def layout(self) -> _TableLayout:
@@ -1171,7 +1128,6 @@ class CostTable:
         communication_model: CommunicationModel | None = None,
         strategies: StrategySpace | Sequence[Parallelism] | str | None = None,
         edges: Sequence[tuple[int, int]] | None = None,
-        backend: str | None = None,
     ) -> "CostTable":
         """Compile the table from per-layer tensor amounts.
 
@@ -1206,7 +1162,6 @@ class CostTable:
             communication_model=model,
             strategies=space,
             edges=edge_list,
-            backend=backend,
         )
 
     @classmethod
@@ -1217,7 +1172,6 @@ class CostTable:
         scales: Sequence[TensorScale] | None = None,
         communication_model: CommunicationModel | None = None,
         strategies: StrategySpace | Sequence[Parallelism] | str | None = None,
-        backend: str | None = None,
     ) -> "CostTable":
         """Compile the table for ``model`` at ``batch_size`` (and ``scales``)."""
         return cls.from_tensors(
@@ -1225,7 +1179,6 @@ class CostTable:
             communication_model,
             strategies,
             edges=model.edges,
-            backend=backend,
         )
 
     # ------------------------------------------------------------------
@@ -1262,10 +1215,9 @@ class CostTable:
         -- same additions in the same order, ties preferring the lowest
         strategy code (dp first) -- so the returned optimum is bit-exact
         with the object-based oracle, byte-identical to the historical
-        array DP.  The chain recurrence runs on the table's
-        :attr:`backend` and, with ``memoize`` on (the default), replays
-        converged repeated-block transitions by translation instead of
-        stepping them (:func:`_chain_dp_run`) -- both bit-exact with the
+        array DP.  With ``memoize`` on (the default) the chain recurrence
+        replays converged repeated-block transitions by translation instead
+        of stepping them (:func:`_chain_dp_run`) -- bit-exact with the
         cold NumPy loop, which ``memoize=False`` forces for oracle runs.
         For a DAG the table runs the same dynamic program over the model's
         *cut vertices* (layers no edge jumps across), scoring each branch
@@ -1289,7 +1241,6 @@ class CostTable:
             1,
             parents,
             frontiers,
-            backend=kernels.resolve_backend(self.backend),
             memoize=memoize,
         )
 
@@ -1553,12 +1504,7 @@ class CostTable:
         ``com`` is the accumulated prefix cost through the entering cut
         vertex; returns ``(best, best_rest)`` -- the new frontier indexed
         by the closing cut vertex's code, and each frontier entry's
-        winning low-digit pattern.  On a compiled backend the per-chunk
-        candidate totals come from the numba block scorer
-        (:func:`repro.core.kernels.dag_block_totals_compiled`, bit-exact
-        with the NumPy body); chunking, dominance pruning and the
-        strict-``<`` end-code scan stay in shared code, so every backend
-        walks the identical sequence of comparisons.
+        winning low-digit pattern.
 
         A segment that fits one chunk (every ``gpt_r`` segment does) is
         one pass: its decoded patterns are the cached read-only pattern
@@ -1580,25 +1526,6 @@ class CostTable:
         block_layers = interior_count + 2
         layout = self.layout
         block_edges = layout.segment_plan(block_start, block_end)[0]
-        use_kernel = kernels.compiled_active(self.backend)
-        if use_kernel:
-            # Group the block's edges by local destination (stably) for
-            # the kernel's single-pass walk; arrays are materialized once
-            # per block, not per chunk.
-            order = sorted(range(len(block_edges)), key=lambda e: block_edges[e][2])
-            kernel_edge_index = np.array(
-                [block_edges[e][0] for e in order], dtype=np.int64
-            )
-            kernel_edge_source = np.array(
-                [block_edges[e][1] for e in order], dtype=np.int64
-            )
-            kernel_edge_destination = np.array(
-                [block_edges[e][2] for e in order], dtype=np.int64
-            )
-            kernel_intra = np.ascontiguousarray(self.intra)
-            kernel_inter = np.ascontiguousarray(self.inter)
-            kernel_com = np.ascontiguousarray(com)
-            parallel = kernels.parallel_active(self.backend)
         # The block-end code is the most significant digit; patterns
         # split as ``rest + group_size * end_code``.
         group_size = num_patterns // num_strategies
@@ -1642,7 +1569,7 @@ class CostTable:
                     fixed_edges.append((edge_index, local_source, local_destination))
                 else:
                     cross_into_fixed.append((edge_index, local_destination))
-        elif not use_kernel:
+        else:
             indices = layout.chunk_indices(block_start, block_end, num_strategies)
         for start in range(0, num_patterns, chunk_span):
             if multi_chunk:
@@ -1678,31 +1605,13 @@ class CostTable:
                 # enumeration.
                 if bound * (1.0 - _PRUNE_MARGIN) > incumbent:
                     continue
-                if not use_kernel:
-                    decoded = np.empty((chunk_span, block_layers), dtype=np.int64)
-                    decoded[:, :free_digits] = patterns
-                    decoded[:, free_digits:] = fixed
-                    indices = layout.chunk_indices(
-                        block_start, block_end, num_strategies, decoded
-                    )
-            if use_kernel:
-                totals = np.empty(chunk_span, dtype=np.float64)
-                kernels.dag_block_totals_compiled(
-                    kernel_com,
-                    kernel_intra,
-                    kernel_inter,
-                    kernel_edge_index,
-                    kernel_edge_source,
-                    kernel_edge_destination,
-                    block_start,
-                    block_layers,
-                    num_strategies,
-                    start,
-                    totals,
-                    parallel=parallel,
+                decoded = np.empty((chunk_span, block_layers), dtype=np.int64)
+                decoded[:, :free_digits] = patterns
+                decoded[:, free_digits:] = fixed
+                indices = layout.chunk_indices(
+                    block_start, block_end, num_strategies, decoded
                 )
-            else:
-                totals = _segment_totals(self.intra, self._inter_terms, com, indices)
+            totals = _segment_totals(self.intra, self._inter_terms, com, indices)
             # Strict ``<`` against the running minima keeps the first
             # (lowest-pattern) winner across ascending chunks, matching
             # the unchunked group-argmin tie rule; ``argmin`` itself
@@ -1767,37 +1676,9 @@ class CostTable:
 
         Depth-safe core scorer: unlike the packed-integer entry points it
         has no 64-bit encoding limit, so single assignments of arbitrarily
-        deep models route through it.  On the compiled backends both chain
-        and DAG tables dispatch to the numba scorer kernels (bit-exact;
-        see :mod:`repro.core.kernels`), with ``"compiled-parallel"``
-        selecting the ``prange`` variants.
+        deep models route through it.
         """
         num_layers = self.num_layers
-        if kernels.compiled_active(self.backend):
-            totals = np.empty(decoded.shape[0], dtype=np.float64)
-            parallel = kernels.parallel_active(self.backend)
-            decoded_codes = np.ascontiguousarray(decoded, dtype=np.int64)
-            if self.is_chain:
-                kernels.score_decoded_chain_compiled(
-                    np.ascontiguousarray(self.intra),
-                    np.ascontiguousarray(self.inter),
-                    decoded_codes,
-                    totals,
-                    parallel=parallel,
-                )
-            else:
-                edge_index, edge_source, edge_destination = self.layout.kernel_edges
-                kernels.score_decoded_dag_compiled(
-                    np.ascontiguousarray(self.intra),
-                    np.ascontiguousarray(self.inter),
-                    edge_index,
-                    edge_source,
-                    edge_destination,
-                    decoded_codes,
-                    totals,
-                    parallel=parallel,
-                )
-            return totals
         per_layer = self.intra[np.arange(num_layers), decoded]  # (N, L)
         if self.is_chain:
             if num_layers > 1:
@@ -2051,10 +1932,9 @@ class WarmStartDP:
         """The ``table.dp_partition()`` optimum, warm-started when possible.
 
         The resumed recurrence runs through the shared
-        :func:`_chain_dp_run` driver, so it inherits the table's backend
-        and the block-repetition memoization (``memoize=False`` forces
-        cold stepping for oracle comparisons); both are bit-exact with the
-        historical layer loop.
+        :func:`_chain_dp_run` driver, so it inherits the block-repetition
+        memoization (``memoize=False`` forces cold stepping for oracle
+        comparisons), bit-exact with the historical layer loop.
         """
         if not table.is_chain:
             self.cold_solves += 1
@@ -2088,7 +1968,6 @@ class WarmStartDP:
             start,
             parents,
             frontiers,
-            backend=kernels.resolve_backend(table.backend),
             memoize=memoize,
         )
         self.memoized_layers += jumped
@@ -2156,7 +2035,6 @@ class HierarchicalCostTable:
         scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
         communication_model: CommunicationModel | None = None,
         strategies: StrategySpace | Sequence[Parallelism] | str | None = None,
-        backend: str | None = None,
     ) -> None:
         if num_levels <= 0:
             raise ValueError(f"num_levels must be positive, got {num_levels}")
@@ -2169,10 +2047,6 @@ class HierarchicalCostTable:
         self.scaling_mode = ScalingMode.parse(scaling_mode)
         self.communication_model = communication_model or CommunicationModel()
         self.strategies = StrategySpace.parse(strategies)
-        #: Kernel backend handed to every gathered per-level
-        #: :class:`CostTable` (``None`` = follow the process default).
-        self.backend = kernels.validate_backend(backend)
-        kernels.warn_numba_fallback(backend)
         #: Canonical edge list of the model's layer DAG; the per-level
         #: ``inter`` arrays are indexed by it (chains keep the historical
         #: boundary indexing, edge ``e`` == boundary ``(e, e + 1)``).
@@ -2398,7 +2272,6 @@ class HierarchicalCostTable:
             tensors=self.tensors_for_level(level, state_array),
             communication_model=self.communication_model,
             strategies=self.strategies,
-            backend=self.backend,
             _layout=self._layout,
         )
 
@@ -2484,12 +2357,7 @@ class HierarchicalCostTable:
         This is the core batched scorer; it also serves candidate spaces
         whose *full* encoding would overflow 64 bits (deep models at many
         levels) as long as the batch itself is enumerable, e.g. the
-        restricted sweeps of Figures 9/10.  On the compiled backends each
-        level's gather-and-accumulate runs in a numba kernel
-        (:func:`repro.core.kernels.hier_level_score_compiled`, bit-exact
-        with the NumPy body; ``"compiled-parallel"`` scores candidates
-        under ``prange``), while the cross-level scale-state tracking
-        stays in shared NumPy code.
+        restricted sweeps of Figures 9/10.
         """
         if len(decoded) != self.num_levels:
             raise ValueError(
@@ -2500,10 +2368,6 @@ class HierarchicalCostTable:
         layer_range = np.arange(num_layers)
         boundary_range = np.arange(max(num_layers - 1, 0))
         totals = np.zeros(num_candidates, dtype=np.float64)
-        use_kernel = kernels.compiled_active(self.backend)
-        parallel = kernels.parallel_active(self.backend)
-        if use_kernel:
-            edge_index, edge_source, edge_destination = self._layout.kernel_edges
         track_states = self.scaling_mode is ScalingMode.PARALLELISM_AWARE
         weight_counts = np.zeros((num_candidates, num_layers), dtype=np.int64)
         batch_counts = (
@@ -2521,53 +2385,35 @@ class HierarchicalCostTable:
                 states = weight_counts
             else:
                 states = self._state_lut[level][batch_counts, weight_counts]
-            if use_kernel:
-                # The kernel folds gather, edge accumulation, sequential
-                # row sum and the ``* (1 << level)`` pair scaling into one
-                # pass, accumulating straight into ``totals``.
-                kernels.hier_level_score_compiled(
-                    self._intra[level],
-                    self._inter[level],
-                    np.ascontiguousarray(states, dtype=np.int64),
-                    np.ascontiguousarray(level_codes, dtype=np.int64),
-                    float(1 << level),
-                    totals,
-                    is_chain=self._layout.is_chain,
-                    edge_index=edge_index,
-                    edge_source=edge_source,
-                    edge_destination=edge_destination,
-                    parallel=parallel,
-                )
+            per_layer = self._intra[level][layer_range, states, level_codes]
+            if self._layout.is_chain:
+                if num_layers > 1:
+                    per_layer[:, 1:] += self._inter[level][
+                        boundary_range,
+                        states[:, :-1],
+                        level_codes[:, :-1],
+                        level_codes[:, 1:],
+                    ]
             else:
-                per_layer = self._intra[level][layer_range, states, level_codes]
-                if self._layout.is_chain:
-                    if num_layers > 1:
-                        per_layer[:, 1:] += self._inter[level][
-                            boundary_range,
-                            states[:, :-1],
-                            level_codes[:, :-1],
-                            level_codes[:, 1:],
-                        ]
-                else:
-                    # Merge layers accumulate their incoming-edge terms (in
-                    # canonical edge order) before the single add onto the intra
-                    # term, matching the object path's association.
-                    inter_acc = np.zeros_like(per_layer)
-                    for edge_index, (source, destination) in enumerate(self.edges):
-                        inter_acc[:, destination] += self._inter[level][
-                            edge_index,
-                            states[:, source],
-                            level_codes[:, source],
-                            level_codes[:, destination],
-                        ]
-                    # ``per_layer`` is a fresh advanced-indexing copy, so the
-                    # in-place add is safe (and allocation-free, like the
-                    # single-level scorer's).
-                    per_layer += inter_acc
-                level_totals = _sequential_row_sum(per_layer)
-                # ``level.total_bytes`` multiplies by the (power-of-two) pair
-                # count before the exact sequential accumulation over levels.
-                totals += level_totals * float(1 << level)
+                # Merge layers accumulate their incoming-edge terms (in
+                # canonical edge order) before the single add onto the intra
+                # term, matching the object path's association.
+                inter_acc = np.zeros_like(per_layer)
+                for edge_index, (source, destination) in enumerate(self.edges):
+                    inter_acc[:, destination] += self._inter[level][
+                        edge_index,
+                        states[:, source],
+                        level_codes[:, source],
+                        level_codes[:, destination],
+                    ]
+                # ``per_layer`` is a fresh advanced-indexing copy, so the
+                # in-place add is safe (and allocation-free, like the
+                # single-level scorer's).
+                per_layer += inter_acc
+            level_totals = _sequential_row_sum(per_layer)
+            # ``level.total_bytes`` multiplies by the (power-of-two) pair
+            # count before the exact sequential accumulation over levels.
+            totals += level_totals * float(1 << level)
             if track_states:
                 weight_counts = weight_counts + (
                     level_codes
@@ -2687,7 +2533,6 @@ class HierarchicalCostTable:
             self.scaling_mode,
             self.communication_model,
             self.strategies,
-            self.backend,
         )
 
     def check_compatible(
@@ -2781,12 +2626,9 @@ def compile_cost_table(
     scales: Sequence[TensorScale] | None = None,
     communication_model: CommunicationModel | None = None,
     strategies: StrategySpace | Sequence[Parallelism] | str | None = None,
-    backend: str | None = None,
 ) -> CostTable:
     """Module-level convenience alias for :meth:`CostTable.compile`."""
-    return CostTable.compile(
-        model, batch_size, scales, communication_model, strategies, backend
-    )
+    return CostTable.compile(model, batch_size, scales, communication_model, strategies)
 
 
 # ----------------------------------------------------------------------
@@ -2801,7 +2643,6 @@ def table_cache_key(
     scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
     communication_model: CommunicationModel | None = None,
     strategies: StrategySpace | Sequence[Parallelism] | str | None = None,
-    backend: str | None = None,
 ) -> tuple:
     """Hashable identity of a :class:`HierarchicalCostTable` compilation.
 
@@ -2811,12 +2652,6 @@ def table_cache_key(
     parameters and the strategy space.  ``DNNModel`` is a frozen dataclass,
     so equal models -- including copies unpickled in sweep worker
     processes -- hash and compare equal and hit the same cache entry.
-
-    ``backend`` is resolved (``None`` -> the process default *at key
-    time*) before entering the key: the stored floats are
-    backend-independent, but the gathered per-level tables inherit the
-    backend, so a cache hit must hand back tables that dispatch the way
-    the caller asked.
     """
     communication_model = communication_model or CommunicationModel()
     return (
@@ -2826,7 +2661,6 @@ def table_cache_key(
         ScalingMode.parse(scaling_mode),
         StrategySpace.parse(strategies),
         communication_model.cache_key,
-        kernels.resolve_backend(backend),
     )
 
 
@@ -2862,10 +2696,8 @@ class TableCache:
         scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
         communication_model: CommunicationModel | None = None,
         strategies: StrategySpace | Sequence[Parallelism] | str | None = None,
-        backend: str | None = None,
     ) -> HierarchicalCostTable:
         """The compiled table for the configuration, compiling on first use."""
-        resolved_backend = kernels.resolve_backend(backend)
         key = table_cache_key(
             model,
             batch_size,
@@ -2873,7 +2705,6 @@ class TableCache:
             scaling_mode,
             communication_model,
             strategies,
-            resolved_backend,
         )
         table = self._tables.get(key)
         if table is not None:
@@ -2892,7 +2723,6 @@ class TableCache:
             scaling_mode=scaling_mode,
             communication_model=communication_model,
             strategies=strategies,
-            backend=resolved_backend,
         )
         self._tables[key] = table
         return table

@@ -73,7 +73,6 @@ def exhaustive_two_way(
     edges: Sequence[tuple[int, int]] | None = None,
     chunk_size: int | None = None,
     prune: bool = False,
-    backend: str | None = None,
 ) -> PartitionResult:
     """Brute-force optimum for a single hierarchy level.
 
@@ -91,7 +90,7 @@ def exhaustive_two_way(
     optimum, so almost every chunk's dominance bound prunes), and chunks
     whose lower bound cannot beat the incumbent are skipped entirely.  The
     returned winner is identical either way -- pruning only skips
-    provably-losing work.  ``backend`` selects the table's kernel backend.
+    provably-losing work.
     """
     space = StrategySpace.parse(strategies)
     num_layers = len(tensors)
@@ -99,9 +98,7 @@ def exhaustive_two_way(
         raise SearchSpaceTooLarge(
             f"{space.size}^{num_layers} assignments exceed the limit of {max_candidates}"
         )
-    table = CostTable.from_tensors(
-        tensors, communication_model, space, edges=edges, backend=backend
-    )
+    table = CostTable.from_tensors(tensors, communication_model, space, edges=edges)
     upper_bound = None
     if prune:
         # Algorithm 1 / the cut-vertex program already yields the true

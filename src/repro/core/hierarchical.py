@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from repro.core import kernels
 from repro.core.communication import CommunicationModel
 from repro.core.costs import CostTable, HierarchicalCostTable, TableCache, WarmStartDP
 from repro.core.parallelism import (
@@ -76,10 +75,6 @@ class HierarchicalPartitioner:
         The per-layer strategy space searched at every level (the paper's
         dp/mp axis by default; e.g. ``"dp,mp,pp"`` adds pipeline
         parallelism).
-    backend:
-        Kernel backend for every compiled table (``"numpy"`` /
-        ``"compiled"``; ``None`` follows the process default, see
-        :mod:`repro.core.kernels`).  Results are backend-independent.
     """
 
     def __init__(
@@ -88,7 +83,6 @@ class HierarchicalPartitioner:
         communication_model: CommunicationModel | None = None,
         scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
         strategies: StrategySpace | str | None = None,
-        backend: str | None = None,
     ) -> None:
         if num_levels <= 0:
             raise ValueError(f"num_levels must be positive, got {num_levels}")
@@ -96,10 +90,7 @@ class HierarchicalPartitioner:
         self.communication_model = communication_model or CommunicationModel()
         self.scaling_mode = ScalingMode.parse(scaling_mode)
         self.strategies = StrategySpace.parse(strategies)
-        self.backend = kernels.validate_backend(backend)
-        self._two_way = TwoWayPartitioner(
-            self.communication_model, self.strategies, backend=self.backend
-        )
+        self._two_way = TwoWayPartitioner(self.communication_model, self.strategies)
 
     @property
     def num_accelerators(self) -> int:
@@ -129,7 +120,6 @@ class HierarchicalPartitioner:
                 scaling_mode=self.scaling_mode,
                 communication_model=self.communication_model,
                 strategies=self.strategies,
-                backend=self.backend,
             )
         return HierarchicalCostTable(
             model,
@@ -138,7 +128,6 @@ class HierarchicalPartitioner:
             scaling_mode=self.scaling_mode,
             communication_model=self.communication_model,
             strategies=self.strategies,
-            backend=self.backend,
         )
 
     def _check_table(
@@ -174,7 +163,6 @@ class HierarchicalPartitioner:
             self.communication_model,
             self.scaling_mode,
             self.strategies,
-            backend=self.backend,
         )
 
     # ------------------------------------------------------------------
@@ -412,14 +400,12 @@ class _DescentLevelTables:
         communication_model,
         scaling_mode,
         strategies=None,
-        backend=None,
     ) -> None:
         self._model = model
         self._batch_size = batch_size
         self._communication_model = communication_model
         self._scaling_mode = scaling_mode
         self._strategies = StrategySpace.parse(strategies)
-        self._backend = kernels.validate_backend(backend)
         self._scales: Sequence[TensorScale] = initial_scales(len(model))
 
     def level_table(self, level: int) -> CostTable:
@@ -429,7 +415,6 @@ class _DescentLevelTables:
             self._communication_model,
             self._strategies,
             edges=self._model.edges,
-            backend=self._backend,
         )
 
     def advance(self, assignment: LayerAssignment) -> None:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core import kernels
 from repro.core.communication import CommunicationModel
 from repro.core.costs import CostTable
 from repro.core.parallelism import (
@@ -59,21 +58,15 @@ class TwoWayPartitioner:
         The per-layer strategy space searched over (the paper's dp/mp axis
         by default; pass e.g. ``"dp,mp,pp"`` to include pipeline
         parallelism).
-    backend:
-        Kernel backend for the compiled cost tables (``"numpy"`` /
-        ``"compiled"``; ``None`` follows the process default, see
-        :mod:`repro.core.kernels`).  Results are backend-independent.
     """
 
     def __init__(
         self,
         communication_model: CommunicationModel | None = None,
         strategies: StrategySpace | Sequence[Parallelism] | str | None = None,
-        backend: str | None = None,
     ) -> None:
         self.communication_model = communication_model or CommunicationModel()
         self.strategies = StrategySpace.parse(strategies)
-        self.backend = kernels.validate_backend(backend)
 
     # ------------------------------------------------------------------
     # Core dynamic program over pre-computed tensor amounts.
@@ -94,7 +87,6 @@ class TwoWayPartitioner:
             self.communication_model,
             self.strategies,
             edges=edges,
-            backend=self.backend,
         )
 
     def partition_tensors(

@@ -41,7 +41,6 @@ import threading
 import time
 from typing import Callable, Mapping
 
-from repro.core import kernels
 from repro.core.costmodel import ANALYTIC_SPEC, resolve_cost_model, shipped_profiles
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.result import HierarchicalResult
@@ -297,7 +296,6 @@ class HyParService:
                 num_levels,
                 request.scaling_mode,
                 request.strategies,
-                request.backend,
                 request.cost_model,
             ),
             lambda: HierarchicalPartitioner(
@@ -305,7 +303,6 @@ class HyParService:
                 communication_model=communication_model,
                 scaling_mode=request.scaling_mode,
                 strategies=request.strategies,
-                backend=request.backend,
             ),
         )
         table = shared_table_cache().get_or_compile(
@@ -315,7 +312,6 @@ class HyParService:
             scaling_mode=request.scaling_mode,
             communication_model=communication_model,
             strategies=request.strategies,
-            backend=request.backend,
         )
         result = partitioner.partition(model, request.batch_size, table=table)
         return _render(self._partition_payload(request, model, result))
@@ -443,13 +439,6 @@ class HyParService:
             },
             "result_cache": self.result_cache.stats(),
             "table_cache": shared_table_cache().stats(),
-            # Which kernel backends actually compile here: "compiled"
-            # requests silently run the NumPy path when numba is absent.
-            "backends": {
-                "default": kernels.get_default_backend(),
-                "numba_available": kernels.NUMBA_AVAILABLE,
-                "valid": list(kernels.VALID_BACKENDS),
-            },
             # Cost-model providers a request's "cost_model" field may name
             # (the server's default plus every shipped profile pack).
             "cost_models": {

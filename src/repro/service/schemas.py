@@ -29,7 +29,6 @@ import hashlib
 import json
 from typing import Mapping
 
-from repro.core import kernels
 from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model, shipped_profiles
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import StrategySpace
@@ -150,16 +149,18 @@ def _canonical_strategies(payload: Mapping) -> str:
 
 
 def _canonical_backend(payload: Mapping) -> str:
-    # The daemon's canonical default is the concrete "numpy", not the
-    # process default, so request hashes cannot drift with server flags.
+    # The search has one implementation.  The field stays, with its one
+    # value, because every /partition response echoes the canonical
+    # payload and every /partition cache key hashes it.
     text = _str_field(payload, "backend", "numpy")
-    try:
-        kernels.validate_backend(text)
-    except ValueError as error:
-        raise SchemaError(str(error)) from None
+    if text != "numpy":
+        raise SchemaError(f"field 'backend' must be 'numpy', got {text!r}")
     return text
 
 
+# Shipped packs do not change while the process runs, so the listing of
+# the profile directory is read once per spelling, not once per request.
+@_memoized
 def _canonical_cost_model_spec(text: str) -> str:
     """Canonicalize one cost-model spec string, shipped packs only.
 
@@ -273,8 +274,7 @@ class PartitionRequest(_FlatRequest):
     )
 
     def coalesce_key(self) -> tuple:
-        # Shared with /simulate: same table-relevant configuration.  The
-        # backend is part of the table cache key, so it serializes too.
+        # Shared with /simulate: same table-relevant configuration.
         return (
             "table",
             self.model,
@@ -282,7 +282,6 @@ class PartitionRequest(_FlatRequest):
             self.num_accelerators,
             self.scaling_mode,
             self.strategies,
-            self.backend,
             self.cost_model,
         )
 

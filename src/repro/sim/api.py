@@ -60,7 +60,6 @@ class SimulationSpec:
     def build_simulator(
         self,
         table_cache: TableCache | None = None,
-        backend: str | None = None,
     ) -> TrainingSimulator:
         """A :class:`TrainingSimulator` configured exactly as this spec."""
         return TrainingSimulator(
@@ -70,7 +69,6 @@ class SimulationSpec:
             strategies=self.strategies,
             num_microbatches=self.num_microbatches,
             table_cache=table_cache,
-            backend=backend,
             sim_engine=self.sim_engine,
         )
 

@@ -51,7 +51,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 from repro.accelerator.array import ArrayConfig
-from repro.core import kernels
 from repro.core.communication import CommunicationModel
 from repro.core.costs import HierarchicalCostTable, TableCache
 from repro.core.parallelism import (
@@ -137,11 +136,6 @@ class TrainingSimulator:
         hand every simulator of a worker process the same cache so one
         compilation serves every study touching the configuration.
         Without one the simulator keeps a private cache of 16 tables.
-    backend:
-        Kernel backend for the compiled cost tables (``"numpy"`` /
-        ``"compiled"``; ``None`` follows the process default, see
-        :mod:`repro.core.kernels`).  Simulated costs are
-        backend-independent.
     sim_engine:
         Default simulation engine (``"analytic"`` or ``"network"``, see
         :mod:`repro.sim.backend`); individual :meth:`simulate` calls may
@@ -157,7 +151,6 @@ class TrainingSimulator:
         strategies: StrategySpace | str | None = None,
         num_microbatches: int = DEFAULT_NUM_MICROBATCHES,
         table_cache: TableCache | None = None,
-        backend: str | None = None,
         sim_engine: str | None = None,
     ) -> None:
         if num_microbatches <= 0:
@@ -187,7 +180,6 @@ class TrainingSimulator:
             if table_cache is not None
             else TableCache(limit=_TABLE_CACHE_LIMIT)
         )
-        self.backend = kernels.validate_backend(backend)
         self.sim_engine = validate_sim_engine(sim_engine)
         #: The raw :class:`~repro.sim.engine.Schedule` of the most recent
         #: :meth:`simulate` call (tag/occupancy inspection; ``None`` before
@@ -207,7 +199,6 @@ class TrainingSimulator:
             scaling_mode=self.scaling_mode,
             communication_model=self.communication_model,
             strategies=self.strategies,
-            backend=self.backend,
         )
 
     def simulate(

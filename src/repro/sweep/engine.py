@@ -27,11 +27,7 @@ Worker processes warm their own process-global caches (see
 :mod:`repro.sweep.cache`): the first task of a configuration compiles the
 shared cost table, subsequent tasks gather from it.  With the default
 ``fork`` start method workers also inherit whatever the parent had already
-compiled.  The parent's kernel backend, by contrast, is propagated
-*explicitly*: the pool initializer re-applies it in every worker
-(:func:`_worker_init`), so ``--backend compiled`` survives the ``spawn``
-and ``forkserver`` start methods too, where a fresh interpreter would
-otherwise silently reset to the ``"numpy"`` default.
+compiled.
 """
 
 from __future__ import annotations
@@ -42,8 +38,6 @@ import threading
 import warnings
 from concurrent.futures import BrokenExecutor, CancelledError, Executor
 from typing import Callable, Iterator, Sequence, TypeVar
-
-from repro.core import kernels
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
@@ -79,19 +73,6 @@ def _run_chunk(payload: tuple[Callable, list]) -> list:
     return [fn(task) for task in chunk]
 
 
-def _worker_init(backend: str) -> None:
-    """Pool initializer: adopt the parent's kernel backend in this worker.
-
-    Under ``spawn``/``forkserver`` a worker imports :mod:`repro` from
-    scratch, so without this it would run the module-default ``"numpy"``
-    backend no matter what the parent selected; under ``fork`` it is a
-    harmless re-set of the inherited value.  Results are bit-identical
-    across backends either way -- this preserves the *speed* the user
-    asked for, not correctness.
-    """
-    kernels.set_default_backend(backend)
-
-
 class SweepEngine:
     """Maps task functions over task lists, serially or process-parallel.
 
@@ -105,12 +86,6 @@ class SweepEngine:
     chunk_size:
         Tasks per chunk; defaults to an even split into
         ``workers * 4`` chunks.  Chunking is deterministic either way.
-    backend:
-        Kernel backend the worker processes adopt as their process
-        default (see :mod:`repro.core.kernels`).  ``None`` (default)
-        captures the parent's default backend at pool creation, so a CLI
-        ``--backend compiled`` flows into the workers under every
-        multiprocessing start method.
 
     The engine keeps its pool alive across :meth:`map` calls (sweeps issue
     one map per study), so worker-side caches stay warm; use the context
@@ -121,7 +96,6 @@ class SweepEngine:
         self,
         workers: int | None = 1,
         chunk_size: int | None = None,
-        backend: str | None = None,
     ) -> None:
         if workers is None:
             workers = default_workers()
@@ -131,7 +105,6 @@ class SweepEngine:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.workers = workers
         self.chunk_size = chunk_size
-        self.backend = kernels.validate_backend(backend)
         self._executor: Executor | None = None
         self._pool_broken = False
         self._closed = False
@@ -211,19 +184,11 @@ class SweepEngine:
             if self._executor is not None or self._pool_broken or self._closed:
                 return self._executor
             try:
-                # Resolve the backend at pool creation (not __init__), so
-                # an engine built before `--backend` was applied still
-                # ships the final choice to its workers.
-                backend = self.backend or kernels.get_default_backend()
                 # Imported here: it loads multiprocessing, which a serial
                 # engine (every cold CLI command) never needs.
                 from concurrent.futures import ProcessPoolExecutor
 
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_worker_init,
-                    initargs=(backend,),
-                )
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
             except (OSError, ValueError, NotImplementedError) as error:
                 # No usable multiprocessing primitives (restricted sandboxes):
                 # degrade to the serial path, which produces identical results.

@@ -249,6 +249,8 @@ class SweepSpec:
         if "name" not in payload or "models" not in payload:
             raise ValueError("a sweep spec requires at least 'name' and 'models'")
         kwargs = {key: payload[key] for key in payload}
+        if not isinstance(kwargs["name"], str):
+            raise ValueError(f"sweep spec 'name' must be a string, got {kwargs['name']!r}")
         for axis in (
             "models",
             "batch_sizes",
@@ -259,14 +261,21 @@ class SweepSpec:
             "cost_models",
             "sim_engines",
         ):
-            if axis in kwargs:
-                if isinstance(kwargs[axis], str):
-                    # tuple("VGG-A") would silently explode into letters.
+            if axis not in kwargs:
+                continue
+            values = kwargs[axis]
+            if not isinstance(values, list):
+                # tuple("VGG-A") would silently explode into letters.
+                raise ValueError(f"sweep spec axis {axis!r} must be a list, got {values!r}")
+            kind = int if axis in ("batch_sizes", "array_sizes") else str
+            for value in values:
+                # ``type`` rather than ``isinstance``: true is an int too.
+                if type(value) is not kind:
                     raise ValueError(
-                        f"sweep spec axis {axis!r} must be a list, got the "
-                        f"string {kwargs[axis]!r}"
+                        f"sweep spec axis {axis!r} must hold {kind.__name__} "
+                        f"values, got {value!r}"
                     )
-                kwargs[axis] = tuple(kwargs[axis])
+            kwargs[axis] = tuple(values)
         return cls(**kwargs)
 
     @classmethod

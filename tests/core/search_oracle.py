@@ -9,7 +9,7 @@ Kept as the test oracles of the production paths that replaced them:
   (``CostTable._detect_periodic_blocks``).
 * :func:`advance_dag_block` -- the chunked enumeration of one cut segment
   with its per-chunk decode, per-column gathers, per-run ``argmin`` scan
-  and pruning bounds built for every segment (NumPy backend only).
+  and pruning bounds built for every segment.
   Production runs a one-chunk segment in one pass
   (``CostTable._advance_dag_block``).
 * :class:`PerLayerDescent` -- the per-layer ``state_index`` /

@@ -1,20 +1,12 @@
-"""Bit-exactness properties of the compiled DAG and hierarchical fast paths.
+"""Bit-exactness properties of the DAG repeated-block memoization.
 
-PR 8 extends the compiled (numba) kernel backend beyond chains: the DAG
-cut-vertex DP enumerates its branch interiors in an ``@njit`` block
-scorer, the hierarchical level scorers run as kernels, a
-``"compiled-parallel"`` leg scores candidates under ``prange``, and the
-cut-vertex program gains the chain DP's repeated-block memoization for
-residual transformer DAGs (``gpt_r``).  Every one of those paths promises
-*bit-exact* agreement with the cold NumPy oracle; these tests drive them
-over the branching zoo, random DAGs and periodic residual stacks and
-assert exact float equality.
-
-When numba is absent (the default local environment) the compiled
-backends silently run the NumPy path, so the backend properties hold
-trivially here and bind for real in the numba CI leg; the dispatch-counter
-tests flip accordingly and prove the kernels actually *executed* wherever
-numba is present.
+The cut-vertex program replays repeated cut segments of residual
+transformer DAGs (``gpt_r``) by translation instead of stepping them, as
+the chain DP does for repeated transitions.  These tests drive the
+memoizer and its periodic-block detector over periodic residual stacks,
+perturbed copies of them and ``gpt_r``, and assert exact float equality
+with cold stepping and with the scanning reference detector.  The
+random-DAG strategy is shared with the search-oracle properties.
 """
 
 from hypothesis import given, settings
@@ -22,14 +14,9 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from repro.core import kernels
-from repro.core.costs import DAG_JUMP_STATS, CostTable, HierarchicalCostTable
-from repro.core.exhaustive import enumerate_restricted_communication
-from repro.core.parallelism import HierarchicalAssignment, Parallelism
-from repro.core.tensors import LayerTensors, model_tensors
-from repro.nn.model_zoo import gpt_r, inception_s, lenet_c, resnet_s
-
-COMPILED_BACKENDS = ["compiled", "compiled-parallel"]
+from repro.core.costs import DAG_JUMP_STATS, CostTable
+from repro.core.tensors import LayerTensors
+from repro.nn.model_zoo import gpt_r
 
 # Integer byte-like amounts keep every cost a small exact float -- the
 # regime where the DAG block jump's exactness certificate admits the
@@ -54,10 +41,9 @@ def random_dag_tables(draw, max_layers=7):
     """Tensors plus a random DAG edge list (chain + up to two skips).
 
     Small enough that the full ``K**L`` space is enumerable, so the
-    cut-vertex DP can be checked against the brute-force scorer minimum
-    as well as across backends.  Skip edges may share a destination with
-    the chain edge (a merge layer) and are appended *after* the chain
-    edges, exercising the kernels' stable destination grouping.
+    cut-vertex DP can be checked against the brute-force scorer minimum.
+    Skip edges may share a destination with the chain edge (a merge
+    layer) and are appended *after* the chain edges.
     """
     count = draw(st.integers(min_value=3, max_value=max_layers), label="layers")
     tensors = [
@@ -109,44 +95,6 @@ def periodic_residual_tables(draw, min_repeats=6, max_repeats=24):
     return tensors, edges
 
 
-class TestCompiledDagDP:
-    @settings(max_examples=40, deadline=None)
-    @given(table=random_dag_tables(), backend=st.sampled_from(COMPILED_BACKENDS))
-    def test_compiled_dag_dp_matches_numpy_and_brute_force(self, table, backend):
-        tensors, edges = table
-        numpy_table = CostTable.from_tensors(tensors, edges=edges, backend="numpy")
-        compiled_table = CostTable.from_tensors(tensors, edges=edges, backend=backend)
-        a = numpy_table.dp_partition()
-        b = compiled_table.dp_partition()
-        assert a.communication_bytes == b.communication_bytes
-        assert a.assignment.choices == b.assignment.choices
-        _, brute = numpy_table.argmin_assignment()
-        assert a.communication_bytes == brute
-
-    @settings(max_examples=40, deadline=None)
-    @given(table=random_dag_tables(), backend=st.sampled_from(COMPILED_BACKENDS))
-    def test_compiled_dag_scorer_matches_numpy(self, table, backend):
-        tensors, edges = table
-        numpy_table = CostTable.from_tensors(tensors, edges=edges, backend="numpy")
-        compiled_table = CostTable.from_tensors(tensors, edges=edges, backend=backend)
-        codes = np.arange(numpy_table.num_assignments, dtype=np.int64)
-        assert np.array_equal(
-            compiled_table.score_codes(codes), numpy_table.score_codes(codes)
-        )
-
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    @pytest.mark.parametrize("builder", [resnet_s, inception_s, gpt_r])
-    def test_branching_zoo_compiled_dp_matches_numpy(self, builder, backend):
-        tensors = model_tensors(builder(), 64)
-        edges = builder().edges
-        numpy_table = CostTable.from_tensors(tensors, edges=edges, backend="numpy")
-        compiled_table = CostTable.from_tensors(tensors, edges=edges, backend=backend)
-        a = numpy_table.dp_partition()
-        b = compiled_table.dp_partition()
-        assert a.communication_bytes == b.communication_bytes
-        assert a.assignment.choices == b.assignment.choices
-
-
 class TestDagRepeatedBlockMemoization:
     @settings(max_examples=30, deadline=None)
     @given(table=periodic_residual_tables())
@@ -177,16 +125,6 @@ class TestDagRepeatedBlockMemoization:
         assert memoized.communication_bytes == cold.communication_bytes
         assert memoized.assignment.choices == cold.assignment.choices
 
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    def test_gpt_r_compiled_memoized_matches_numpy_cold(self, backend):
-        """Memoizer and compiled kernels compose on the residual stack."""
-        model = gpt_r(32)
-        compiled_table = CostTable.compile(model, 64, backend=backend)
-        numpy_table = CostTable.compile(model, 64, backend="numpy")
-        a = compiled_table.dp_partition()
-        b = numpy_table.dp_partition(memoize=False)
-        assert a.communication_bytes == b.communication_bytes
-        assert a.assignment.choices == b.assignment.choices
 
 
 def _block_local_edges_reference(table, block_start, block_end):
@@ -335,91 +273,3 @@ def _memoized_solve(cost_table, reference=False):
         result = cost_table.dp_partition()
         delta = {key: DAG_JUMP_STATS[key] - before[key] for key in before}
     return result.communication_bytes, result.assignment.choices, delta
-
-
-class TestCompiledHierarchicalScorers:
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    @pytest.mark.parametrize("builder", [lenet_c, resnet_s])
-    def test_hier_score_codes_matches_numpy(self, builder, backend):
-        model = builder()
-        numpy_table = HierarchicalCostTable(model, 64, 2, backend="numpy")
-        compiled_table = HierarchicalCostTable(model, 64, 2, backend=backend)
-        codes = np.arange(numpy_table.num_assignments, dtype=np.int64)
-        assert np.array_equal(
-            compiled_table.score_codes(codes), numpy_table.score_codes(codes)
-        )
-        assert compiled_table.argmin_assignment() == numpy_table.argmin_assignment()
-
-    def test_parallel_scorer_tiny_chunks_are_byte_identical(self):
-        """Chunk boundaries never leak into the prange leg's totals.
-
-        Tiny chunks rescore two fixed windows of the 2**20 codes, the
-        first and the last 4096, against the full-array baseline: one
-        Python-level chunk per code or three makes all of them a
-        five-minute rescore.  The NumPy scorer's own tiny-chunk identity
-        is ``test_property_fastpaths.py::TestChunkSizeByteIdentity``'s.
-        """
-        table = HierarchicalCostTable(resnet_s(), 64, 2, backend="compiled-parallel")
-        codes = np.arange(table.num_assignments, dtype=np.int64)
-        baseline = table.score_codes(codes)
-        for window in (slice(0, 4096), slice(-4096, None)):
-            for chunk in (1, 3, 7):
-                assert np.array_equal(
-                    table.score_codes(codes[window], chunk_size=chunk), baseline[window]
-                )
-
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    def test_restricted_sweep_rides_the_compiled_table(self, backend):
-        model = resnet_s()
-        numpy_table = HierarchicalCostTable(model, 64, 4, backend="numpy")
-        compiled_table = HierarchicalCostTable(model, 64, 4, backend=backend)
-        base = HierarchicalAssignment.uniform(Parallelism.DATA, 4, len(model))
-        free = [(0, 0), (1, 2), (2, 5), (0, 3)]
-        baseline = enumerate_restricted_communication(
-            model, 64, base, free, table=numpy_table
-        )
-        compiled = enumerate_restricted_communication(
-            model, 64, base, free, table=compiled_table
-        )
-        assert np.array_equal(compiled, baseline)
-
-
-class TestKernelDispatchCounters:
-    """`--backend compiled` must *execute* kernels, not silently fall back.
-
-    With numba present the counters prove the dispatch happened; without
-    it they prove the graceful fallback stayed on the NumPy path.
-    """
-
-    def setup_method(self):
-        kernels.reset_dispatch_counts()
-
-    def test_dag_dp_dispatches_block_kernel(self):
-        CostTable.compile(resnet_s(), 64, backend="compiled").dp_partition()
-        counts = kernels.dispatch_counts()
-        if kernels.NUMBA_AVAILABLE:
-            assert counts["dag_block"] > 0
-        else:
-            assert counts["dag_block"] == 0
-
-    def test_hierarchical_scoring_dispatches_level_kernel(self):
-        table = HierarchicalCostTable(resnet_s(), 64, 2, backend="compiled")
-        table.score_codes(np.arange(256, dtype=np.int64))
-        counts = kernels.dispatch_counts()
-        if kernels.NUMBA_AVAILABLE:
-            assert counts["hier_level"] > 0
-        else:
-            assert counts["hier_level"] == 0
-
-    def test_parallel_backend_dispatches_scorer_kernels(self):
-        chain = CostTable.compile(lenet_c(), 64, backend="compiled-parallel")
-        chain.score_codes(np.arange(chain.num_assignments, dtype=np.int64))
-        dag = CostTable.compile(resnet_s(), 64, backend="compiled-parallel")
-        dag.score_codes(np.arange(64, dtype=np.int64))
-        counts = kernels.dispatch_counts()
-        if kernels.NUMBA_AVAILABLE:
-            assert counts["chain_score"] > 0
-            assert counts["dag_score"] > 0
-        else:
-            assert counts["chain_score"] == 0
-            assert counts["dag_score"] == 0

@@ -1,18 +1,13 @@
 """Property-based bit-exactness tests for the search fast paths.
 
-PR 7's performance work adds three accelerations to the cost engine --
-block-repetition memoization in the chain DP, dominance pruning in the
-batched scanners, and an optional compiled (numba) kernel backend -- all
+The cost engine has two accelerations -- block-repetition memoization in
+the chain DP and dominance pruning in the batched scanners -- both
 promising *bit-exact* agreement with the plain NumPy path (which the
 existing property suites pin against the object oracle, making the
 equivalence three deep).  These tests drive the fast paths over random
 repeated-block chains at transformer-style depth and assert exact float
 equality: same optimum bytes, same argmin assignment, identical candidate
 totals.
-
-When numba is absent (the default local environment) ``backend="compiled"``
-silently runs the NumPy path, so the backend tests hold trivially here and
-bind for real in the numba CI leg.
 """
 
 from hypothesis import given, settings
@@ -203,35 +198,3 @@ class TestChunkSizeByteIdentity:
         tiny = enumerate_restricted_communication(model, 64, base, free, chunk_size=2)
         assert np.array_equal(tiny, baseline)
 
-
-class TestCompiledBackendEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        tensors=repeated_block_chains(max_repeats=12),
-        backend=st.sampled_from(["compiled", "compiled-parallel"]),
-    )
-    def test_compiled_dp_matches_numpy_dp(self, tensors, backend):
-        numpy_table = CostTable.from_tensors(tensors, backend="numpy")
-        compiled_table = CostTable.from_tensors(tensors, backend=backend)
-        a = numpy_table.dp_partition()
-        b = compiled_table.dp_partition()
-        assert a.communication_bytes == b.communication_bytes
-        assert a.assignment.choices == b.assignment.choices
-        # And with memoization off, the raw kernels against each other.
-        a = numpy_table.dp_partition(memoize=False)
-        b = compiled_table.dp_partition(memoize=False)
-        assert a.communication_bytes == b.communication_bytes
-        assert a.assignment.choices == b.assignment.choices
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        tensors=short_chains(),
-        backend=st.sampled_from(["compiled", "compiled-parallel"]),
-    )
-    def test_compiled_scorer_matches_numpy_scorer(self, tensors, backend):
-        numpy_table = CostTable.from_tensors(tensors, backend="numpy")
-        compiled_table = CostTable.from_tensors(tensors, backend=backend)
-        codes = np.arange(numpy_table.num_assignments, dtype=np.int64)
-        assert np.array_equal(
-            compiled_table.score_codes(codes), numpy_table.score_codes(codes)
-        )

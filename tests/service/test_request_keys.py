@@ -85,8 +85,6 @@ def case_list() -> list[tuple[str, dict]]:
         {"model": "VGG-A", "strategies": "pp,dp"},
         {"model": "VGG-A", "strategies": "mp"},
         {"model": "VGG-A", "strategies": "dp,,mp,"},
-        {"model": "VGG-A", "backend": "compiled"},
-        {"model": "VGG-A", "backend": "compiled-parallel"},
         {"model": "VGG-A", "cost_model": "profiled:fp16-precision"},
         {"model": "VGG-A", "cost_model": " profiled: slow-interconnect "},
         {"model": "VGG-A", "cost_model": "analytic "},

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.costmodel import shipped_profiles
+from repro.service import schemas
 from repro.service.schemas import (
     PartitionRequest,
     SchemaError,
@@ -76,21 +78,43 @@ class TestPartitionRequest:
         with pytest.raises(SchemaError, match="JSON object"):
             PartitionRequest.from_payload(["VGG-A"])
 
-    def test_every_kernel_backend_is_accepted(self):
-        from repro.core.kernels import VALID_BACKENDS
+    def test_backend_field_accepts_only_numpy(self):
+        default = PartitionRequest.from_payload({"model": "VGG-A"})
+        explicit = PartitionRequest.from_payload({"model": "VGG-A", "backend": "numpy"})
+        assert explicit == default
+        assert explicit.cache_key() == default.cache_key()
+        with pytest.raises(
+            SchemaError, match="field 'backend' must be 'numpy', got 'compiled'"
+        ):
+            PartitionRequest.from_payload({"model": "VGG-A", "backend": "compiled"})
 
-        for backend in VALID_BACKENDS:
-            request = PartitionRequest.from_payload(
-                {"model": "VGG-A", "backend": backend}
-            )
-            assert request.backend == backend
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"model": "VGG-A"},
+            {"model": "Lenet-c", "batch_size": 64, "num_accelerators": 4},
+            {"model": "VGG-A", "cost_model": "profiled:fp16-precision"},
+        ],
+    )
+    def test_partition_and_simulate_share_the_table_coalesce_key(self, payload):
+        """One configuration compiles one table, whichever endpoint asks."""
+        partition = PartitionRequest.from_payload(payload)
+        simulate = SimulateRequest.from_payload(payload)
+        assert partition.coalesce_key() == simulate.coalesce_key()
 
-    def test_backend_is_part_of_the_cache_key(self):
-        numpy_key = PartitionRequest.from_payload({"model": "VGG-A"}).cache_key()
-        parallel_key = PartitionRequest.from_payload(
-            {"model": "VGG-A", "backend": "compiled-parallel"}
-        ).cache_key()
-        assert numpy_key != parallel_key
+    def test_profile_directory_is_listed_once_per_spelling(self, monkeypatch):
+        calls = []
+
+        def counting_shipped_profiles():
+            calls.append(1)
+            return shipped_profiles()
+
+        monkeypatch.setattr(schemas, "shipped_profiles", counting_shipped_profiles)
+        # A spelling no other test sends, so the memo starts without it.
+        payload = {"model": "VGG-A", "cost_model": "  profiled:fp16-precision"}
+        requests = [PartitionRequest.from_payload(payload) for _ in range(5)]
+        assert len(calls) == 1
+        assert {request.cost_model for request in requests} == {"profiled:fp16-precision"}
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SchemaError, match="cuda"):
@@ -197,3 +221,20 @@ class TestSweepRequest:
             SweepRequest.from_payload({"spec": {"name": "x"}})
         with pytest.raises(SchemaError, match="known models"):
             SweepRequest.from_payload({"spec": {"name": "x", "models": ["nope"]}})
+
+    @pytest.mark.parametrize(
+        "axes, named",
+        [
+            ({"models": [5]}, "'models'"),
+            ({"models": [None]}, "'models'"),
+            ({"scaling_modes": [5]}, "'scaling_modes'"),
+            ({"batch_sizes": [1.5]}, "'batch_sizes'"),
+            ({"batch_sizes": [True]}, "'batch_sizes'"),
+            ({"array_sizes": [True]}, "'array_sizes'"),
+            ({"name": 5}, "'name'"),
+        ],
+    )
+    def test_mistyped_spec_axes_are_refused_naming_the_axis(self, axes, named):
+        spec = {"name": "x", "models": ["SFC"], **axes}
+        with pytest.raises(SchemaError, match=f"invalid sweep spec: .*{named}"):
+            SweepRequest.from_payload({"spec": spec})

@@ -1,17 +1,11 @@
 """Tests for the sweep engine: deterministic chunking and serial/parallel parity."""
 
-import concurrent.futures
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-import repro.sweep.engine as engine_module
-from repro.core import kernels
 from repro.sweep.engine import (
     SweepEngine,
     chunk_tasks,
@@ -201,100 +195,6 @@ class TestFaultHarness:
             engine.map(_square, range(4))
             assert engine.pool_degraded is False
             assert engine.pool_active is True
-
-
-class _RecordingExecutor:
-    """Stand-in for ProcessPoolExecutor that records its construction."""
-
-    created: list["_RecordingExecutor"] = []
-
-    def __init__(self, max_workers=None, initializer=None, initargs=()):
-        self.max_workers = max_workers
-        self.initializer = initializer
-        self.initargs = initargs
-        _RecordingExecutor.created.append(self)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-class TestBackendPropagation:
-    """``--backend`` must reach workers under every start method.
-
-    Under ``spawn``/``forkserver`` a worker interpreter imports
-    :mod:`repro` from scratch and would silently run the ``"numpy"``
-    default; the pool initializer re-applies the parent's choice.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _fresh_recorder(self, monkeypatch):
-        monkeypatch.setattr(_RecordingExecutor, "created", [])
-        # The engine imports ProcessPoolExecutor where it creates the pool,
-        # so the stand-in replaces it in concurrent.futures itself.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-
-    def test_explicit_backend_ships_via_the_pool_initializer(self):
-        engine = SweepEngine(workers=2, backend="compiled")
-        assert engine._ensure_executor() is not None
-        (executor,) = _RecordingExecutor.created
-        assert executor.initializer is engine_module._worker_init
-        assert executor.initargs == ("compiled",)
-        engine.close()
-
-    def test_default_backend_is_captured_at_pool_creation(self):
-        # An engine built before `--backend` is applied (the service
-        # constructs its engine at import-wiring time) must still ship
-        # the final process default when the pool actually spawns.
-        engine = SweepEngine(workers=2)
-        previous = kernels.get_default_backend()
-        try:
-            kernels.set_default_backend("compiled-parallel")
-            engine._ensure_executor()
-        finally:
-            kernels.set_default_backend(previous)
-        (executor,) = _RecordingExecutor.created
-        assert executor.initargs == ("compiled-parallel",)
-        engine.close()
-
-    def test_invalid_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SweepEngine(workers=2, backend="fast")
-
-
-class TestWorkerInit:
-    def test_worker_init_sets_the_process_default(self):
-        previous = kernels.get_default_backend()
-        try:
-            engine_module._worker_init("compiled")
-            assert kernels.get_default_backend() == "compiled"
-        finally:
-            kernels.set_default_backend(previous)
-
-
-@pytest.mark.parametrize("method", ["spawn"])
-def test_backend_survives_a_fresh_interpreter_start_method(method):
-    """Regression: a spawned worker adopts the parent's backend.
-
-    This is the real failure mode the initializer exists for -- a spawned
-    interpreter re-imports :mod:`repro.core.kernels` and lands on the
-    ``"numpy"`` module default unless ``_worker_init`` runs.  Skipped in
-    sandboxes that cannot start the method at all.
-    """
-    try:
-        context = multiprocessing.get_context(method)
-    except ValueError:
-        pytest.skip(f"start method {method!r} unavailable")
-    try:
-        with ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=context,
-            initializer=engine_module._worker_init,
-            initargs=("compiled",),
-        ) as pool:
-            seen = pool.submit(kernels.get_default_backend).result(timeout=120)
-    except (OSError, PermissionError, BrokenProcessPool) as error:
-        pytest.skip(f"cannot spawn worker processes here ({error})")
-    assert seen == "compiled"
 
 
 class TestResolveEngine:

@@ -67,6 +67,23 @@ class TestJsonRoundTrip:
                 {"name": "x", "models": ["Lenet-c"], "topologies": "htree"}
             )
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"models": [5]}, "axis 'models' must hold str values, got 5"),
+            ({"models": [None]}, "axis 'models' must hold str values, got None"),
+            ({"scaling_modes": [5]}, "axis 'scaling_modes' must hold str values"),
+            ({"batch_sizes": [1.5]}, "axis 'batch_sizes' must hold int values, got 1.5"),
+            ({"batch_sizes": [True]}, "axis 'batch_sizes' must hold int values, got True"),
+            ({"array_sizes": [True]}, "axis 'array_sizes' must hold int values"),
+            ({"batch_sizes": (64,)}, "axis 'batch_sizes' must be a list"),
+            ({"name": 5}, "'name' must be a string, got 5"),
+        ],
+    )
+    def test_mistyped_axis_values_rejected(self, axes, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec.from_json({"name": "x", "models": ["SFC"], **axes})
+
     def test_missing_required_keys_rejected(self):
         with pytest.raises(ValueError, match="requires at least"):
             SweepSpec.from_json({"name": "x"})
