@@ -1,12 +1,14 @@
-"""Bit-exactness properties of the DAG repeated-block memoization.
+"""Bit-exactness properties of the DAG cut-vertex program.
 
 The cut-vertex program replays repeated cut segments of residual
 transformer DAGs (``gpt_r``) by translation instead of stepping them, as
-the chain DP does for repeated transitions.  These tests drive the
-memoizer and its periodic-block detector over periodic residual stacks,
-perturbed copies of them and ``gpt_r``, and assert exact float equality
-with cold stepping and with the scanning reference detector.  The
-random-DAG strategy is shared with the search-oracle properties.
+the chain DP does for repeated transitions.  These tests drive the cold
+segment stepping over random DAGs and the branching zoo against the
+brute-force minimum, and the memoizer and its periodic-block detector
+over periodic residual stacks, perturbed copies of them and ``gpt_r``,
+asserting exact float equality with cold stepping and with the scanning
+reference detector.  The random-DAG strategy is shared with the
+search-oracle properties.
 """
 
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ import pytest
 
 from repro.core.costs import DAG_JUMP_STATS, CostTable
 from repro.core.tensors import LayerTensors
-from repro.nn.model_zoo import gpt_r
+from repro.nn.model_zoo import gpt_r, inception_s, resnet_s
 
 # Integer byte-like amounts keep every cost a small exact float -- the
 # regime where the DAG block jump's exactness certificate admits the
@@ -95,6 +97,56 @@ def periodic_residual_tables(draw, min_repeats=6, max_repeats=24):
     return tensors, edges
 
 
+BRANCHING_ZOO = [
+    pytest.param(resnet_s, id="resnet_s"),
+    pytest.param(inception_s, id="inception_s"),
+    pytest.param(lambda: gpt_r(2), id="gpt_r-2"),
+]
+
+
+class TestDagColdPath:
+    """The cut-vertex program's cold segment stepping and its scorer.
+
+    ``memoize=False`` steps every cut segment through
+    ``CostTable._advance_dag_block``; the batched scorer gathers the edge
+    terms in ``CostTable._score_decoded``.  Both must agree exactly with
+    the memoized program and with the brute-force minimum.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=random_dag_tables(), space=st.sampled_from(["dp,mp", "dp,mp,pp"]))
+    def test_cold_dag_dp_matches_memoized_and_brute_force(self, table, space):
+        tensors, edges = table
+        cost_table = CostTable.from_tensors(tensors, edges=edges, strategies=space)
+        cold = cost_table.dp_partition(memoize=False)
+        memoized = cost_table.dp_partition()
+        assert cold.communication_bytes == memoized.communication_bytes
+        assert cold.assignment.choices == memoized.assignment.choices
+        _, brute = cost_table.argmin_assignment()
+        assert cold.communication_bytes == brute
+
+    @settings(max_examples=40, deadline=None)
+    @given(table=random_dag_tables(), chunk_size=st.sampled_from([1, 2, 3, 7]))
+    def test_dag_scorer_is_chunk_size_invariant(self, table, chunk_size):
+        tensors, edges = table
+        cost_table = CostTable.from_tensors(tensors, edges=edges)
+        codes = np.arange(cost_table.num_assignments, dtype=np.int64)
+        assert np.array_equal(
+            cost_table.score_codes(codes, chunk_size=chunk_size),
+            cost_table.score_codes(codes),
+        )
+
+    @pytest.mark.parametrize("space", ["dp,mp", "dp,mp,pp"])
+    @pytest.mark.parametrize("builder", BRANCHING_ZOO)
+    def test_branching_zoo_cold_dp_matches_brute_force(self, builder, space):
+        table = CostTable.compile(builder(), 64, strategies=space)
+        cold = table.dp_partition(memoize=False)
+        codes, brute = table.argmin_assignment()
+        assert cold.communication_bytes == brute
+        assert table.score_codes([codes])[0] == brute
+        assert table.dp_partition().assignment.choices == cold.assignment.choices
+
+
 class TestDagRepeatedBlockMemoization:
     @settings(max_examples=30, deadline=None)
     @given(table=periodic_residual_tables())
@@ -125,6 +177,13 @@ class TestDagRepeatedBlockMemoization:
         assert memoized.communication_bytes == cold.communication_bytes
         assert memoized.assignment.choices == cold.assignment.choices
 
+    @pytest.mark.parametrize("space", ["dp,mp", "dp,mp,pp"])
+    def test_gpt_r_memoized_matches_cold_in_each_space(self, space):
+        table = CostTable.compile(gpt_r(32), 64, strategies=space)
+        memoized = table.dp_partition()
+        cold = table.dp_partition(memoize=False)
+        assert memoized.communication_bytes == cold.communication_bytes
+        assert memoized.assignment.choices == cold.assignment.choices
 
 
 def _block_local_edges_reference(table, block_start, block_end):

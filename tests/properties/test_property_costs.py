@@ -12,6 +12,7 @@ tensor chains and assert exact float equality throughout.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
+import pytest
 
 from repro.core.communication import CommunicationModel
 from repro.core.costs import CostTable, HierarchicalCostTable
@@ -34,6 +35,7 @@ from repro.core.tensors import (
 )
 from repro.nn.layers import Activation, ConvLayer, FCLayer
 from repro.nn.model import build_model
+from repro.nn.model_zoo import lenet_c, resnet_s
 from repro.nn.shapes import MergeOp
 
 amounts = st.floats(min_value=1.0, max_value=1e8, allow_nan=False, allow_infinity=False)
@@ -499,3 +501,24 @@ class TestHierarchicalTableMatchesObjectPath:
             assignment = table.codes_to_assignment(bits)
             reference = partitioner.evaluate_reference(model, assignment, batch)
             assert totals[bits] == reference.total_communication_bytes
+
+    @pytest.mark.parametrize("builder", [lenet_c, resnet_s])
+    def test_zoo_level_scorer_matches_the_object_evaluation(self, builder):
+        """Sampled codes of a zoo model's two-level space score exactly."""
+        model = builder()
+        partitioner = HierarchicalPartitioner(num_levels=2)
+        table = partitioner.compile_table(model, 64)
+        sampled = np.random.default_rng(0).integers(table.num_assignments, size=24)
+        codes = np.concatenate([[0, table.num_assignments - 1], sampled])
+        totals = table.score_codes(codes)
+        for code, total in zip(codes.tolist(), totals.tolist()):
+            assignment = table.codes_to_assignment(code)
+            reference = partitioner.evaluate_reference(model, assignment, 64)
+            assert total == reference.total_communication_bytes
+
+    @pytest.mark.parametrize("builder", [lenet_c, resnet_s])
+    def test_zoo_argmin_is_the_first_minimum_score(self, builder):
+        table = HierarchicalCostTable(builder(), 64, 2)
+        totals = table.score_codes(np.arange(table.num_assignments, dtype=np.int64))
+        best = int(np.argmin(totals))
+        assert table.argmin_assignment() == (best, totals[best])

@@ -13,16 +13,19 @@ totals.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
+import pytest
 
 from repro.core.costs import CostTable, HierarchicalCostTable, WarmStartDP
 from repro.core.exhaustive import (
+    enumerate_restricted,
     enumerate_restricted_communication,
     exhaustive_two_way,
     exhaustive_two_way_reference,
 )
+from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import HierarchicalAssignment, Parallelism
 from repro.core.tensors import LayerTensors, model_tensors
-from repro.nn.model_zoo import gpt_s, lenet_c
+from repro.nn.model_zoo import gpt_s, lenet_c, resnet_s
 
 # Integer byte-like amounts keep every cost a small exact float, the regime
 # where the memoizer's exactness certificate admits the translated-frontier
@@ -197,4 +200,54 @@ class TestChunkSizeByteIdentity:
         baseline = enumerate_restricted_communication(model, 64, base, free)
         tiny = enumerate_restricted_communication(model, 64, base, free, chunk_size=2)
         assert np.array_equal(tiny, baseline)
+
+    def test_deep_hierarchical_scorer_tiny_chunk_windows_are_byte_identical(self):
+        """Chunk boundaries never leak into a 20-digit space's totals.
+
+        Tiny chunks rescore two fixed windows of ResNet-S's 2**20 two-level
+        codes, the first and the last 4096, against the full-array
+        baseline; one Python-level chunk per code or three makes the whole
+        space a minutes-long rescore.
+        """
+        table = HierarchicalCostTable(resnet_s(), 64, 2)
+        codes = np.arange(table.num_assignments, dtype=np.int64)
+        baseline = table.score_codes(codes)
+        for window in (slice(0, 4096), slice(-4096, None)):
+            for chunk in (1, 3, 7):
+                assert np.array_equal(
+                    table.score_codes(codes[window], chunk_size=chunk), baseline[window]
+                )
+
+
+class TestSharedHierarchicalTable:
+    """One compiled table serves many restricted sweeps (Figures 9/10)."""
+
+    @pytest.mark.parametrize("builder", [lenet_c, resnet_s])
+    def test_restricted_sweeps_on_a_shared_table_match_the_object_sweep(self, builder):
+        model = builder()
+        partitioner = HierarchicalPartitioner(num_levels=4)
+        table = partitioner.compile_table(model, 64)
+        base = HierarchicalAssignment.uniform(Parallelism.DATA, 4, len(model))
+        sweeps = [[(0, 0), (1, 2), (2, len(model) - 1), (0, 3)], [(3, 1), (2, 0)]]
+
+        def reference(free):
+            return [
+                total
+                for _, total in enumerate_restricted(
+                    model,
+                    64,
+                    base,
+                    free,
+                    lambda assignment: partitioner.evaluate_reference(
+                        model, assignment, 64
+                    ).total_communication_bytes,
+                )
+            ]
+
+        first = enumerate_restricted_communication(model, 64, base, sweeps[0], table=table)
+        second = enumerate_restricted_communication(model, 64, base, sweeps[1], table=table)
+        assert first.tolist() == reference(sweeps[0])
+        assert second.tolist() == reference(sweeps[1])
+        again = enumerate_restricted_communication(model, 64, base, sweeps[0], table=table)
+        assert np.array_equal(again, first)
 

@@ -348,6 +348,24 @@ class TestServiceUnit:
             assert service.result_cache.stats()["misses"] == 1
         assert shared_table_cache().misses == table_misses_before + 1
 
+    def test_healthz_lists_no_search_backends(self):
+        with HyParService(cache_size=2) as service:
+            status, body = service.handle("GET", "/healthz", None)
+        assert status == 200
+        assert "backends" not in json.loads(body)
+
+    def test_partition_serves_only_the_numpy_backend(self):
+        payload = {"model": "Lenet-c", "num_accelerators": 4}
+        with HyParService(cache_size=4) as service:
+            status, body = _post(service, "/partition", {**payload, "backend": "compiled"})
+            assert status == 400
+            assert body["error"] == "field 'backend' must be 'numpy', got 'compiled'"
+            _, implicit = _post(service, "/partition", payload)
+            status, explicit = _post(service, "/partition", {**payload, "backend": "numpy"})
+            assert status == 200
+            assert explicit == implicit
+            assert service.result_cache.stats()["misses"] == 1
+
     def test_unexpected_exception_is_a_500_not_a_crash(self, monkeypatch):
         with HyParService(cache_size=2) as service:
             monkeypatch.setattr(

@@ -1,8 +1,13 @@
 """Tests for the sweep engine: deterministic chunking and serial/parallel parity."""
 
+import concurrent.futures
+import functools
+import multiprocessing
 import os
 import threading
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -13,6 +18,8 @@ from repro.sweep.engine import (
     owned_engine,
     resolve_engine,
 )
+from repro.sweep.runner import evaluate_point
+from repro.sweep.spec import SweepSpec
 
 
 def _square(x: int) -> int:
@@ -194,6 +201,36 @@ class TestFaultHarness:
         with SweepEngine(workers=2) as engine:
             engine.map(_square, range(4))
             assert engine.pool_degraded is False
+            assert engine.pool_active is True
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_fresh_interpreter_workers_match_the_serial_points(method, monkeypatch):
+    """Workers that import :mod:`repro` from scratch compute the serial points.
+
+    The pool is built with no initializer: a worker needs no state from
+    the parent process.  Under ``spawn`` and ``forkserver`` every worker
+    is a new interpreter rather than a fork, and its grid points must
+    still equal the in-process ones exactly.
+    """
+    context = multiprocessing.get_context(method)
+    # The engine imports ProcessPoolExecutor where it creates the pool, so
+    # the start method is set on concurrent.futures itself.
+    monkeypatch.setattr(
+        concurrent.futures,
+        "ProcessPoolExecutor",
+        functools.partial(ProcessPoolExecutor, mp_context=context),
+    )
+    spec = SweepSpec.from_json(
+        {"name": "fresh", "models": ["SFC", "Lenet-c"], "batch_sizes": [64], "array_sizes": [4]}
+    )
+    serial = SweepEngine.serial().map(evaluate_point, spec.points())
+    with warnings.catch_warnings():
+        # A failed pool falls back to the serial path with a warning, which
+        # would hide the workers under test.
+        warnings.simplefilter("error", RuntimeWarning)
+        with SweepEngine(workers=2) as engine:
+            assert engine.map(evaluate_point, spec.points()) == serial
             assert engine.pool_active is True
 
 

@@ -140,6 +140,18 @@ class TestBadInput:
         assert [line for line in lines if "error:" in line] == [lines[-1]]
         assert lines[-1].startswith(f"hypar {argv[0]}: error: {error}")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["partition", "VGG-E"], ["simulate", "VGG-E"], ["sweep", "smoke"], ["serve"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_backend_option_is_unrecognized(self, argv, capsys):
+        """The search has one implementation, so no command selects one."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + ["--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
+
     def test_single_accelerator_still_simulates(self, capsys):
         assert main(["simulate", "Lenet-c", "--accelerators", "1", "--batch-size", "64"]) == 0
         assert "1 accelerators" in capsys.readouterr().out

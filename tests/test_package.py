@@ -1,6 +1,8 @@
 """Tests for the top-level package surface."""
 
 import importlib
+import inspect
+import pkgutil
 
 import pytest
 
@@ -91,3 +93,33 @@ def test_lazy_exports_resolve_list_and_reject(name):
         assert export in listing, f"{name}.{export} missing from dir()"
     with pytest.raises(AttributeError, match="no_such_name"):
         package.no_such_name
+
+
+def _functions_of(module):
+    """The functions and methods ``module`` itself defines."""
+    for member in vars(module).values():
+        if getattr(member, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(member):
+            yield member
+        elif inspect.isclass(member):
+            for attribute in vars(member).values():
+                function = getattr(attribute, "__func__", attribute)
+                if inspect.isfunction(function):
+                    yield function
+
+
+def test_no_function_takes_a_backend_parameter():
+    """The partition search has one implementation and nothing selects another.
+
+    ``PartitionRequest`` alone keeps a ``backend`` field: the ``/partition``
+    wire format accepts ``"numpy"`` and nothing else.
+    """
+    offenders = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        for function in _functions_of(importlib.import_module(info.name)):
+            if "backend" in inspect.signature(function).parameters:
+                offenders.append(f"{function.__module__}.{function.__qualname__}")
+    assert offenders == ["repro.service.schemas.PartitionRequest.__init__"]

@@ -88,3 +88,18 @@ def test_dag_search_loads_no_numpy_ma():
     """The cut-vertex search (gpt_r) must not reach ``np.unique``, whose
     NumPy 2 implementation imports ``numpy.ma`` on first use."""
     assert _loaded(["partition", "gpt_r-8"], "numpy.ma") == []
+
+
+def test_benchmark_machine_probe_reads_the_kernels_stub():
+    """``perfbench/run.py`` records ``repro.core.kernels.NUMBA_AVAILABLE``.
+
+    The module is only that flag, ``False``, and loads nothing; without it
+    the benchmark's machine probe fails before any workload is measured.
+    """
+    probe = _python(
+        "-c",
+        "import sys\n"
+        "from repro.core import kernels\n"
+        "print(kernels.NUMBA_AVAILABLE, 'numba' in sys.modules)",
+    )
+    assert probe.stdout.split() == ["False", "False"]
