@@ -32,11 +32,8 @@ from typing import Sequence
 
 from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism, model_parallelism
-from repro.core.hierarchical import HierarchicalPartitioner
-from repro.interconnect import HTreeTopology, TorusTopology
 from repro.nn.model_zoo import get_model
-from repro.sim.training import TrainingSimulator
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
 
 #: Strategy labels in simulation order (also the figure labels).
@@ -139,46 +136,18 @@ class CongestionStudy:
         return "\n".join(lines)
 
 
-def _congestion_simulators(
-    config: CongestionConfig,
-) -> tuple[TrainingSimulator, TrainingSimulator, HierarchicalPartitioner]:
-    def build() -> tuple:
-        array = ArrayConfig(num_accelerators=config.num_accelerators)
-        topology_type = {"htree": HTreeTopology, "torus": TorusTopology}[
-            config.topology
-        ]
-        topology = topology_type(
-            config.num_accelerators, array.link_bandwidth_bytes
-        )
-        analytic = TrainingSimulator(
-            array,
-            topology,
-            table_cache=shared_table_cache(),
-            sim_engine="analytic",
-        )
-        network = TrainingSimulator(
-            array,
-            topology,
-            table_cache=shared_table_cache(),
-            sim_engine="network",
-        )
-        partitioner = HierarchicalPartitioner(num_levels=array.num_levels)
-        return analytic, network, partitioner
-
-    key = ("congestion-study", config.num_accelerators, config.topology)
-    return runtime_cached(key, build)
-
-
 def _congestion_task(config: CongestionConfig) -> CongestionComparison:
     """Sweep-engine task: one configuration under both engines."""
-    analytic, network, partitioner = _congestion_simulators(config)
+    simulator = cached_simulator(
+        ArrayConfig(num_accelerators=config.num_accelerators), config.topology
+    )
     model = get_model(config.model)
-    num_levels = analytic.array.num_levels
+    num_levels = simulator.array.num_levels
 
     # One table serves the search and all six simulations; the search
     # itself is engine-independent (it minimises communication bytes).
-    table = analytic.cost_table(model, config.batch_size)
-    hypar = partitioner.partition(model, config.batch_size, table=table).assignment
+    table = simulator.cost_table(model, config.batch_size)
+    hypar = simulator.partitioner.partition(model, config.batch_size, table=table).assignment
     assignments = {
         "Data Parallelism": data_parallelism(model, num_levels),
         "Model Parallelism": model_parallelism(model, num_levels),
@@ -188,11 +157,12 @@ def _congestion_task(config: CongestionConfig) -> CongestionComparison:
     network_seconds = {}
     for name in STRATEGIES:
         assignment = assignments[name]
-        analytic_seconds[name] = analytic.simulate(
+        analytic_seconds[name] = simulator.simulate(
             model, assignment, config.batch_size, name, cost_table=table
         ).step_seconds
-        network_seconds[name] = network.simulate(
-            model, assignment, config.batch_size, name, cost_table=table
+        network_seconds[name] = simulator.simulate(
+            model, assignment, config.batch_size, name, cost_table=table,
+            sim_engine="network",
         ).step_seconds
     return CongestionComparison(
         config=config,

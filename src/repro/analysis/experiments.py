@@ -23,16 +23,14 @@ from repro.accelerator.array import ArrayConfig
 from repro.analysis.report import format_table, geometric_mean
 from repro.core.baselines import data_parallelism, model_parallelism, one_weird_trick
 from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model, resolve_cost_model
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE, HierarchicalPartitioner
+from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import HierarchicalAssignment, StrategySpace
 from repro.core.result import HierarchicalResult
 from repro.core.tensors import ScalingMode
-from repro.interconnect import Topology
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import all_models
 from repro.sim.metrics import TrainingStepReport
-from repro.sim.training import TrainingSimulator
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
 
 #: Strategy names as they appear in the paper's figures.
@@ -125,10 +123,6 @@ class _RunnerConfig:
     scaling_mode: ScalingMode
     include_trick: bool
     strategies: str
-    #: A custom topology object rides along verbatim (``None`` = the
-    #: default H tree); configs carrying one are not runtime-cached
-    #: because topologies hash by identity.
-    topology: Topology | None = None
     #: Cost-model spec string -- strings pickle cleanly into workers, and
     #: the worker re-resolves (and re-fits, once per process) on build.
     cost_model: str = ANALYTIC_SPEC
@@ -136,7 +130,6 @@ class _RunnerConfig:
     def build(self) -> "ExperimentRunner":
         return ExperimentRunner(
             array=self.array,
-            topology=self.topology,
             batch_size=self.batch_size,
             scaling_mode=self.scaling_mode,
             include_trick=self.include_trick,
@@ -145,25 +138,10 @@ class _RunnerConfig:
         )
 
 
-def _runner_for(config: _RunnerConfig) -> "ExperimentRunner":
-    if config.topology is not None:
-        return config.build()
-    key = (
-        "experiment-runner",
-        config.array,
-        config.batch_size,
-        config.scaling_mode,
-        config.include_trick,
-        config.strategies,
-        config.cost_model,
-    )
-    return runtime_cached(key, config.build)
-
-
 def _compare_task(task: tuple[_RunnerConfig, DNNModel]) -> "ModelComparison":
     """Sweep-engine task: one network's Figures 6-8 comparison."""
     config, model = task
-    return _runner_for(config).compare(model)
+    return config.build().compare(model)
 
 
 class ExperimentRunner:
@@ -171,15 +149,14 @@ class ExperimentRunner:
 
     Parameters mirror the paper's setup: a sixteen-accelerator H-tree array
     and a batch size of 256, all overridable for the sensitivity studies.
-    Cost tables compile into the process-shared
-    :func:`~repro.sweep.cache.shared_table_cache`, so every study touching
-    the same configuration reuses them.
+    The simulator is the platform's
+    :func:`~repro.sweep.cache.cached_simulator`, so every study touching
+    the same configuration reuses it and its compiled cost tables.
     """
 
     def __init__(
         self,
         array: ArrayConfig | None = None,
-        topology: Topology | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
         include_trick: bool = False,
@@ -187,26 +164,17 @@ class ExperimentRunner:
         cost_model: str = ANALYTIC_SPEC,
     ) -> None:
         self.array = array or ArrayConfig()
-        self.topology = topology
         self.batch_size = batch_size
         self.scaling_mode = ScalingMode.parse(scaling_mode)
         self.include_trick = include_trick
         self.cost_model = canonical_cost_model(cost_model)
-        self.simulator = TrainingSimulator(
+        self.simulator = cached_simulator(
             self.array,
-            topology,
-            communication_model=resolve_cost_model(self.cost_model).communication_model(),
             scaling_mode=self.scaling_mode,
             strategies=strategies,
-            table_cache=shared_table_cache(),
+            communication_model=resolve_cost_model(self.cost_model).communication_model(),
         )
         self.strategies = self.simulator.strategies
-        self.partitioner = HierarchicalPartitioner(
-            num_levels=self.array.num_levels,
-            communication_model=self.simulator.communication_model,
-            scaling_mode=self.scaling_mode,
-            strategies=self.strategies,
-        )
 
     def _task_config(self) -> _RunnerConfig:
         return _RunnerConfig(
@@ -215,7 +183,6 @@ class ExperimentRunner:
             scaling_mode=self.scaling_mode,
             include_trick=self.include_trick,
             strategies=self.strategies.describe(),
-            topology=self.topology,
             cost_model=self.cost_model,
         )
 
@@ -229,7 +196,7 @@ class ExperimentRunner:
         Search and simulation share the simulator's cached cost table.
         """
         table = self.simulator.cost_table(model, self.batch_size)
-        return self.partitioner.partition(model, self.batch_size, table=table)
+        return self.simulator.partitioner.partition(model, self.batch_size, table=table)
 
     # ------------------------------------------------------------------
     # Figures 6-8: simulate every strategy.
@@ -282,8 +249,6 @@ class ExperimentRunner:
         models = list(models) if models is not None else all_models()
         with owned_engine(engine) as resolved:
             if resolved.workers <= 1:
-                # In-process: use this runner directly instead of caching a
-                # duplicate of it in the process-global runtime cache.
                 comparisons = resolved.map(self.compare, models)
             else:
                 config = self._task_config()

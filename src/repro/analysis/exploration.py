@@ -33,8 +33,7 @@ from repro.core.tensors import ScalingMode
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import lenet_c, vgg_a
 from repro.sim.metrics import TrainingStepReport
-from repro.sim.training import TrainingSimulator
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
 
 
@@ -94,24 +93,6 @@ class _SweepContext:
     baseline_report: TrainingStepReport
 
 
-def _sweep_simulator(context: _SweepContext) -> TrainingSimulator:
-    key = (
-        "exploration-simulator",
-        context.array,
-        context.scaling_mode,
-        context.strategies,
-    )
-    return runtime_cached(
-        key,
-        lambda: TrainingSimulator(
-            context.array,
-            scaling_mode=context.scaling_mode,
-            strategies=context.strategies,
-            table_cache=shared_table_cache(),
-        ),
-    )
-
-
 def _sweep_point_task(task: tuple[_SweepContext, int]) -> float:
     """Sweep-engine task: simulate one restricted-sweep candidate.
 
@@ -119,7 +100,11 @@ def _sweep_point_task(task: tuple[_SweepContext, int]) -> float:
     Parallelism baseline -- the z axis of the Figures 9/10 surfaces.
     """
     context, codes = task
-    simulator = _sweep_simulator(context)
+    simulator = cached_simulator(
+        context.array,
+        scaling_mode=context.scaling_mode,
+        strategies=context.strategies,
+    )
     cost_table = simulator.cost_table(context.model, context.batch_size)
     assignment = restricted_assignment(
         context.base_assignment,

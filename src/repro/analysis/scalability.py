@@ -15,15 +15,13 @@ from typing import Sequence
 
 from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE, HierarchicalPartitioner
+from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import StrategySpace
 from repro.core.tensors import ScalingMode
-from repro.interconnect import HTreeTopology
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import vgg_a
 from repro.sim.metrics import TrainingStepReport
-from repro.sim.training import TrainingSimulator
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
 
 #: The paper sweeps 1, 2, 4, ..., 64 accelerators.
@@ -113,59 +111,30 @@ class _ScalabilityContext:
     model: DNNModel
 
 
-def _size_simulator(context: _ScalabilityContext, size: int) -> TrainingSimulator:
-    def build() -> TrainingSimulator:
-        array = context.base_array.with_num_accelerators(size)
-        topology = (
-            HTreeTopology(size, array.link_bandwidth_bytes) if size > 1 else None
-        )
-        return TrainingSimulator(
-            array,
-            topology,
-            scaling_mode=context.scaling_mode,
-            strategies=context.strategies,
-            table_cache=shared_table_cache(),
-        )
-
-    key = (
-        "scalability-simulator",
-        context.base_array,
-        size,
-        context.scaling_mode,
-        context.strategies,
-    )
-    return runtime_cached(key, build)
-
-
 def _scalability_task(
     task: tuple[_ScalabilityContext, int]
 ) -> tuple[TrainingStepReport, TrainingStepReport]:
     """Sweep-engine task: HyPar and Data Parallelism reports at one size."""
     context, size = task
     model = context.model
-    simulator = _size_simulator(context, size)
+    simulator = cached_simulator(
+        context.base_array.with_num_accelerators(size),
+        scaling_mode=context.scaling_mode,
+        strategies=context.strategies,
+    )
     if size == 1:
         report = simulator.simulate(
             model, None, context.batch_size, strategy_name="single"
         )
         return report, report
 
-    array = simulator.array
-    partitioner = runtime_cached(
-        ("scalability-partitioner", size, context.scaling_mode, context.strategies),
-        lambda: HierarchicalPartitioner(
-            num_levels=array.num_levels,
-            scaling_mode=context.scaling_mode,
-            strategies=simulator.strategies,
-        ),
-    )
     # Share one compiled cost table between the search and both
     # strategies' simulations at this array size.
     table = simulator.cost_table(model, context.batch_size)
-    hypar_assignment = partitioner.partition(
+    hypar_assignment = simulator.partitioner.partition(
         model, context.batch_size, table=table
     ).assignment
-    dp_assignment = data_parallelism(model, array.num_levels)
+    dp_assignment = data_parallelism(model, simulator.array.num_levels)
 
     hypar_report = simulator.simulate(
         model, hypar_assignment, context.batch_size, "HyPar", cost_table=table

@@ -22,12 +22,10 @@ from typing import Sequence
 from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism
 from repro.core.communication import CommunicationModel
-from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.tensors import ScalingMode
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import vgg_a
-from repro.sim.training import TrainingSimulator
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
 
 #: Batch sizes spanning the "generalisation" (32) to "throughput" (4096)
@@ -87,29 +85,15 @@ def _compare(
     scaling_mode: ScalingMode | str,
     communication_model: CommunicationModel | None = None,
 ) -> SensitivityPoint:
-    scaling_mode = ScalingMode.parse(scaling_mode)
-    comm_key = (communication_model or CommunicationModel()).cache_key
-    partitioner = runtime_cached(
-        ("sensitivity-partitioner", array.num_levels, scaling_mode, comm_key),
-        lambda: HierarchicalPartitioner(
-            num_levels=array.num_levels,
-            communication_model=communication_model,
-            scaling_mode=scaling_mode,
-        ),
-    )
-    simulator = runtime_cached(
-        ("sensitivity-simulator", array, scaling_mode, comm_key),
-        lambda: TrainingSimulator(
-            array,
-            communication_model=communication_model,
-            scaling_mode=scaling_mode,
-            table_cache=shared_table_cache(),
-        ),
+    simulator = cached_simulator(
+        array, scaling_mode=scaling_mode, communication_model=communication_model
     )
     # One compiled cost table serves the search and both simulations (and,
     # through the shared cache, any other study of the configuration).
     table = simulator.cost_table(model, batch_size)
-    hypar_assignment = partitioner.partition(model, batch_size, table=table).assignment
+    hypar_assignment = simulator.partitioner.partition(
+        model, batch_size, table=table
+    ).assignment
     hypar = simulator.simulate(
         model, hypar_assignment, batch_size, "HyPar", cost_table=table
     )

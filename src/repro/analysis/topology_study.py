@@ -16,14 +16,12 @@ from typing import Sequence
 from repro.accelerator.array import ArrayConfig
 from repro.analysis.report import geometric_mean
 from repro.core.baselines import data_parallelism
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE, HierarchicalPartitioner
+from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import StrategySpace
 from repro.core.tensors import ScalingMode
-from repro.interconnect import HTreeTopology, TorusTopology
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import all_models
-from repro.sim.training import TrainingSimulator
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
 
 
@@ -76,49 +74,26 @@ class _TopologyContext:
     strategies: str | None
 
 
-def _topology_simulators(
-    context: _TopologyContext,
-) -> tuple[TrainingSimulator, TrainingSimulator, HierarchicalPartitioner]:
-    array = context.array
-
-    def build() -> tuple:
-        htree = HTreeTopology(array.num_accelerators, array.link_bandwidth_bytes)
-        torus = TorusTopology(array.num_accelerators, array.link_bandwidth_bytes)
-        htree_simulator = TrainingSimulator(
-            array,
-            htree,
-            scaling_mode=context.scaling_mode,
-            strategies=context.strategies,
-            table_cache=shared_table_cache(),
-        )
-        torus_simulator = TrainingSimulator(
-            array,
-            torus,
-            scaling_mode=context.scaling_mode,
-            strategies=context.strategies,
-            table_cache=shared_table_cache(),
-        )
-        partitioner = HierarchicalPartitioner(
-            num_levels=array.num_levels,
-            scaling_mode=context.scaling_mode,
-            strategies=htree_simulator.strategies,
-        )
-        return htree_simulator, torus_simulator, partitioner
-
-    key = ("topology-study", array, context.scaling_mode, context.strategies)
-    return runtime_cached(key, build)
-
-
 def _topology_task(task: tuple[_TopologyContext, DNNModel]) -> TopologyComparison:
     """Sweep-engine task: one network on both interconnects."""
     context, model = task
-    htree_simulator, torus_simulator, partitioner = _topology_simulators(context)
+    htree_simulator, torus_simulator = (
+        cached_simulator(
+            context.array,
+            topology,
+            scaling_mode=context.scaling_mode,
+            strategies=context.strategies,
+        )
+        for topology in ("htree", "torus")
+    )
     batch_size = context.batch_size
 
     # One table serves the search and all three simulations: the compiled
     # amounts depend on the model and batch, not on the interconnect.
     table = htree_simulator.cost_table(model, batch_size)
-    hypar_assignment = partitioner.partition(model, batch_size, table=table).assignment
+    hypar_assignment = htree_simulator.partitioner.partition(
+        model, batch_size, table=table
+    ).assignment
     dp_assignment = data_parallelism(model, context.array.num_levels)
 
     baseline = htree_simulator.simulate(

@@ -29,14 +29,11 @@ from typing import Sequence
 from repro.accelerator.array import ArrayConfig
 from repro.analysis.report import geometric_mean
 from repro.core.baselines import one_weird_trick
-from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import StrategySpace
 from repro.core.tensors import ScalingMode
-from repro.interconnect import HTreeTopology
 from repro.nn.model import DNNModel, build_model
 from repro.nn.model_zoo import vgg_e
-from repro.sim.training import TrainingSimulator
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
 
 #: The six configurations shown in Figure 13.
@@ -126,30 +123,16 @@ def _trick_task(task: tuple[_TrickContext, tuple[str, int, int]]) -> TrickCompar
     """Sweep-engine task: one ``<focus layer>-b<batch>-h<levels>`` configuration."""
     context, (focus, batch_size, num_levels) = task
     subnetwork = focus_subnetwork(context.model, FOCUS_LAYERS[focus])
-    array = context.base_array.with_num_accelerators(1 << num_levels)
-
-    def build() -> tuple[TrainingSimulator, HierarchicalPartitioner]:
-        topology = HTreeTopology(array.num_accelerators, array.link_bandwidth_bytes)
-        simulator = TrainingSimulator(
-            array,
-            topology,
-            scaling_mode=context.scaling_mode,
-            strategies=context.strategies,
-            table_cache=shared_table_cache(),
-        )
-        partitioner = HierarchicalPartitioner(
-            num_levels=num_levels,
-            scaling_mode=context.scaling_mode,
-            strategies=simulator.strategies,
-        )
-        return simulator, partitioner
-
-    simulator, partitioner = runtime_cached(
-        ("trick-study", array, context.scaling_mode, context.strategies), build
+    simulator = cached_simulator(
+        context.base_array.with_num_accelerators(1 << num_levels),
+        scaling_mode=context.scaling_mode,
+        strategies=context.strategies,
     )
 
     table = simulator.cost_table(subnetwork, batch_size)
-    hypar_assignment = partitioner.partition(subnetwork, batch_size, table=table).assignment
+    hypar_assignment = simulator.partitioner.partition(
+        subnetwork, batch_size, table=table
+    ).assignment
     trick_assignment = one_weird_trick(subnetwork, num_levels)
 
     hypar_report = simulator.simulate(

@@ -574,36 +574,37 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.baselines import data_parallelism, model_parallelism
-    from repro.interconnect import HTreeTopology, TorusTopology
     from repro.sim.api import SimulationSpec
     from repro.sim.api import simulate as run_simulation
     from repro.sim.training import PHASES
+    from repro.sweep.cache import cached_simulator
 
     model = get_model(args.model)
-    array = ArrayConfig(num_accelerators=args.accelerators)
-    topology = None
-    if args.accelerators > 1:
-        topology_type = {"htree": HTreeTopology, "torus": TorusTopology}[args.topology]
-        topology = topology_type(args.accelerators, array.link_bandwidth_bytes)
-
-    assignment = None
-    strategy_name = None
-    if args.strategy == "dp":
-        assignment = data_parallelism(model, array.num_levels)
-        strategy_name = "Data Parallelism"
-    elif args.strategy == "mp":
-        assignment = model_parallelism(model, array.num_levels)
-        strategy_name = "Model Parallelism"
-
-    spec = SimulationSpec(
-        batch_size=args.batch_size,
-        array=array,
-        topology=topology,
+    simulator = cached_simulator(
+        ArrayConfig(num_accelerators=args.accelerators),
+        args.topology,
         scaling_mode=args.scaling_mode,
         strategies=args.strategies,
         sim_engine=args.sim_engine,
     )
-    result = run_simulation(model, assignment, spec, strategy_name=strategy_name)
+
+    assignment = None
+    strategy_name = None
+    num_levels = simulator.array.num_levels
+    if args.strategy == "dp":
+        assignment = data_parallelism(model, num_levels)
+        strategy_name = "Data Parallelism"
+    elif args.strategy == "mp":
+        assignment = model_parallelism(model, num_levels)
+        strategy_name = "Model Parallelism"
+
+    result = run_simulation(
+        model,
+        assignment,
+        SimulationSpec(batch_size=args.batch_size, sim_engine=args.sim_engine),
+        simulator=simulator,
+        strategy_name=strategy_name,
+    )
     report = result.report
     print(
         f"{report.model_name} / {report.strategy_name} on {report.topology_name} "

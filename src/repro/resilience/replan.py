@@ -37,18 +37,13 @@ import dataclasses
 from typing import Mapping
 
 from repro.accelerator.array import ArrayConfig
-from repro.core.hierarchical import (
-    DEFAULT_BATCH_SIZE,
-    HierarchicalPartitioner,
-    HierarchicalWarmStart,
-)
+from repro.core.hierarchical import DEFAULT_BATCH_SIZE, HierarchicalWarmStart
 from repro.core.placement import Interval, TensorPlacement
 from repro.core.tensors import ScalingMode
 from repro.core.parallelism import StrategySpace
 from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model
 from repro.nn.model_zoo import canonical_model_name
 from repro.sweep import artifacts
-from repro.sweep.cache import runtime_cached, shared_table_cache
 from repro.sweep.spec import TOPOLOGY_NAMES, SweepPoint
 from repro.resilience.traces import AvailabilityTrace
 
@@ -210,25 +205,9 @@ class ElasticReplanner:
             )
             solved = ((), report.step_seconds, report.communication_gb, None)
         else:
-            point = self._point(num_levels)
-            simulator = _simulator_for(point)
-            partitioner = runtime_cached(
-                (
-                    "replan-partitioner",
-                    point.num_accelerators,
-                    point.scaling_mode,
-                    point.strategies,
-                    point.cost_model,
-                ),
-                lambda: HierarchicalPartitioner(
-                    num_levels=num_levels,
-                    communication_model=simulator.communication_model,
-                    scaling_mode=point.scaling_mode,
-                    strategies=simulator.strategies,
-                ),
-            )
+            simulator = _simulator_for(self._point(num_levels))
             table = simulator.cost_table(model, self.config.batch_size)
-            result = partitioner.partition(
+            result = simulator.partitioner.partition(
                 model, self.config.batch_size, table=table, warm=self._warm
             )
             report = simulator.simulate(

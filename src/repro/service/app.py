@@ -41,11 +41,10 @@ import threading
 import time
 from typing import Callable, Mapping
 
-from repro.core.costmodel import ANALYTIC_SPEC, resolve_cost_model, shipped_profiles
-from repro.core.hierarchical import HierarchicalPartitioner
+from repro.core.costmodel import ANALYTIC_SPEC, shipped_profiles
 from repro.core.result import HierarchicalResult
 from repro.core.strategies import registered_strategies
-from repro.nn.model_zoo import all_model_builders, get_model
+from repro.nn.model_zoo import all_model_builders
 from repro.resilience.replan import run_replan
 from repro.service.cache import DEFAULT_CACHE_SIZE, KeyedLocks, ResultCache
 from repro.sim.backend import DEFAULT_SIM_ENGINE, SIM_ENGINES
@@ -59,9 +58,9 @@ from repro.service.schemas import (
     _canonical_cost_model_spec,
 )
 from repro.sweep.artifacts import payload_to_json
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import shared_table_cache
 from repro.sweep.engine import SweepEngine
-from repro.sweep.runner import evaluate_point, run_sweep
+from repro.sweep.runner import _model_for, _simulator_for, evaluate_point, run_sweep
 from repro.sweep.spec import SweepPoint
 
 #: Method and one-line summary per path, also served on 404s.
@@ -285,35 +284,23 @@ class HyParService:
     # ------------------------------------------------------------------
 
     def _partition_body(self, request: PartitionRequest) -> bytes:
-        model = runtime_cached(("model", request.model), lambda: get_model(request.model))
-        num_levels = request.num_accelerators.bit_length() - 1
-        communication_model = resolve_cost_model(
-            request.cost_model
-        ).communication_model()
-        partitioner = runtime_cached(
-            (
-                "service-partitioner",
-                num_levels,
-                request.scaling_mode,
-                request.strategies,
-                request.cost_model,
-            ),
-            lambda: HierarchicalPartitioner(
-                num_levels=num_levels,
-                communication_model=communication_model,
+        # The /simulate runtime of the same configuration: one simulator,
+        # and the partitioner it derives, per platform.
+        simulator = _simulator_for(
+            SweepPoint(
+                index=0,
+                model=request.model,
+                batch_size=request.batch_size,
+                num_accelerators=request.num_accelerators,
+                topology="htree",
                 scaling_mode=request.scaling_mode,
                 strategies=request.strategies,
-            ),
+                cost_model=request.cost_model,
+            )
         )
-        table = shared_table_cache().get_or_compile(
-            model,
-            request.batch_size,
-            num_levels,
-            scaling_mode=request.scaling_mode,
-            communication_model=communication_model,
-            strategies=request.strategies,
-        )
-        result = partitioner.partition(model, request.batch_size, table=table)
+        model = _model_for(request.model)
+        table = simulator.cost_table(model, request.batch_size)
+        result = simulator.partitioner.partition(model, request.batch_size, table=table)
         return _render(self._partition_payload(request, model, result))
 
     @staticmethod

@@ -22,7 +22,7 @@ import dataclasses
 
 from repro.accelerator.array import ArrayConfig
 from repro.core.costs import HierarchicalCostTable, TableCache
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE, HierarchicalPartitioner
+from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import HierarchicalAssignment, StrategySpace
 from repro.core.tensors import ScalingMode
 from repro.interconnect import Topology
@@ -121,15 +121,9 @@ def simulate(
     if assignment is None and sim.array.num_levels > 0:
         if cost_table is None:
             cost_table = sim.cost_table(model, spec.batch_size)
-        partitioner = HierarchicalPartitioner(
-            num_levels=sim.array.num_levels,
-            communication_model=sim.communication_model,
-            scaling_mode=sim.scaling_mode,
-            strategies=sim.strategies,
-        )
         # The partitioner checks a supplied table against the platform
         # before it searches, raising the simulator's compatibility error.
-        assignment = partitioner.partition(
+        assignment = sim.partitioner.partition(
             model, spec.batch_size, table=cost_table
         ).assignment
         strategy_name = strategy_name or "HyPar"

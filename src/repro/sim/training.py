@@ -48,11 +48,13 @@ instead of once per level per point.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Sequence
 
 from repro.accelerator.array import ArrayConfig
 from repro.core.communication import CommunicationModel
 from repro.core.costs import HierarchicalCostTable, TableCache
+from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import (
     HierarchicalAssignment,
     Parallelism,
@@ -189,6 +191,22 @@ class TrainingSimulator:
         # assignment, so every point of a sweep issues identical passes.
         # Keyed by the (frozen, hashable) layer itself plus the work amounts.
         self._pass_cache: dict = {}
+
+    @functools.cached_property
+    def partitioner(self) -> HierarchicalPartitioner:
+        """HyPar's search over this simulator's platform (built once).
+
+        It shares the simulator's depth, communication model, scaling mode
+        and strategy space, so its assignments and their simulations cost
+        one platform.  A single-accelerator array has nothing to search
+        (``ValueError``).
+        """
+        return HierarchicalPartitioner(
+            num_levels=self.array.num_levels,
+            communication_model=self.communication_model,
+            scaling_mode=self.scaling_mode,
+            strategies=self.strategies,
+        )
 
     def cost_table(self, model: DNNModel, batch_size: int) -> HierarchicalCostTable:
         """The compiled cost table for ``model`` at ``batch_size`` (cached)."""

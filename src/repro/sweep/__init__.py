@@ -11,8 +11,9 @@ search-plus-simulate jobs.  This package factors the machinery every
   descriptions (models x strategy spaces x topologies x scaling modes x
   batch sizes x array sizes) runnable as ``hypar sweep <spec.json|preset>``;
 * :mod:`~repro.sweep.cache` -- the process-global shared compiled-table
-  cache (`repro.core.costs.TableCache`) and runtime-object memoization the
-  task functions warm;
+  cache (`repro.core.costs.TableCache`), the one simulator per platform
+  (:func:`~repro.sweep.cache.cached_simulator`) and the runtime-object
+  memoization the task functions warm;
 * :mod:`~repro.sweep.runner` -- the generic grid runner producing flat
   figure rows;
 * :mod:`~repro.sweep.artifacts` -- deterministic JSON/CSV writers.
@@ -36,6 +37,7 @@ _EXPORTS = {
     "SweepRecord": "runner",
     "SweepResult": "runner",
     "SweepSpec": "spec",
+    "cached_simulator": "cache",
     "chunk_tasks": "engine",
     "clear_caches": "cache",
     "default_workers": "engine",

@@ -20,11 +20,9 @@ from typing import Mapping, Sequence
 from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism, model_parallelism
 from repro.core.costmodel import resolve_cost_model
-from repro.core.hierarchical import HierarchicalPartitioner
-from repro.interconnect import HTreeTopology, Topology, TorusTopology
 from repro.nn.model_zoo import get_model
 from repro.sweep import artifacts
-from repro.sweep.cache import runtime_cached, shared_table_cache
+from repro.sweep.cache import cached_simulator, runtime_cached
 from repro.sweep.engine import SweepEngine, owned_engine
 from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sim.training import TrainingSimulator
@@ -35,60 +33,14 @@ DATA_PARALLELISM = "Data Parallelism"
 HYPAR = "HyPar"
 
 
-def _make_topology(name: str, num_accelerators: int, link_bandwidth_bytes: float) -> Topology:
-    if name == "htree":
-        return HTreeTopology(num_accelerators, link_bandwidth_bytes)
-    if name == "torus":
-        return TorusTopology(num_accelerators, link_bandwidth_bytes)
-    raise ValueError(f"unknown topology {name!r}")
-
-
 def _simulator_for(point: SweepPoint) -> TrainingSimulator:
-    def build() -> TrainingSimulator:
-        array = ArrayConfig(num_accelerators=point.num_accelerators)
-        topology = (
-            _make_topology(point.topology, point.num_accelerators, array.link_bandwidth_bytes)
-            if point.num_accelerators > 1
-            else None
-        )
-        return TrainingSimulator(
-            array,
-            topology,
-            communication_model=resolve_cost_model(point.cost_model).communication_model(),
-            scaling_mode=point.scaling_mode,
-            strategies=point.strategies,
-            table_cache=shared_table_cache(),
-            sim_engine=point.sim_engine,
-        )
-
-    key = (
-        "simulator",
-        point.num_accelerators,
+    return cached_simulator(
+        ArrayConfig(num_accelerators=point.num_accelerators),
         point.topology,
-        point.scaling_mode,
-        point.strategies,
-        point.cost_model,
-        point.sim_engine,
-    )
-    return runtime_cached(key, build)
-
-
-def _partitioner_for(point: SweepPoint, simulator: TrainingSimulator) -> HierarchicalPartitioner:
-    key = (
-        "partitioner",
-        point.num_accelerators,
-        point.scaling_mode,
-        point.strategies,
-        point.cost_model,
-    )
-    return runtime_cached(
-        key,
-        lambda: HierarchicalPartitioner(
-            num_levels=simulator.array.num_levels,
-            communication_model=simulator.communication_model,
-            scaling_mode=point.scaling_mode,
-            strategies=simulator.strategies,
-        ),
+        scaling_mode=point.scaling_mode,
+        strategies=point.strategies,
+        communication_model=resolve_cost_model(point.cost_model).communication_model(),
+        sim_engine=point.sim_engine,
     )
 
 
@@ -170,9 +122,8 @@ def evaluate_point(point: SweepPoint) -> SweepRecord:
         }
         return SweepRecord(point=point, metrics=metrics, hypar_levels=())
 
-    partitioner = _partitioner_for(point, simulator)
     table = simulator.cost_table(model, point.batch_size)
-    hypar = partitioner.partition(model, point.batch_size, table=table)
+    hypar = simulator.partitioner.partition(model, point.batch_size, table=table)
     num_levels = simulator.array.num_levels
     assignments = {
         MODEL_PARALLELISM: model_parallelism(model, num_levels),

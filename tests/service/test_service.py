@@ -15,8 +15,10 @@ import threading
 
 import pytest
 
+from repro.core.hierarchical import HierarchicalPartitioner
 from repro.service import HyParService, ServiceClient, build_server
 from repro.service.server import DEFAULT_HOST, DEFAULT_PORT, serve
+from repro.sim.training import TrainingSimulator
 from repro.sweep.cache import shared_table_cache
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import SweepSpec
@@ -347,6 +349,35 @@ class TestServiceUnit:
             assert all(body == bodies[0] for body in bodies)
             assert service.result_cache.stats()["misses"] == 1
         assert shared_table_cache().misses == table_misses_before + 1
+
+    def test_partition_and_simulate_share_one_runtime(self, monkeypatch):
+        # A batch size no other test uses, so its table compiles here.
+        payload = {"model": "Lenet-c", "batch_size": 152, "num_accelerators": 8}
+        searchers: list = []
+        simulators: list = []
+        partition = HierarchicalPartitioner.partition
+        simulate = TrainingSimulator.simulate
+
+        def spy_partition(self, *args, **kwargs):
+            searchers.append(self)
+            return partition(self, *args, **kwargs)
+
+        def spy_simulate(self, *args, **kwargs):
+            simulators.append(self)
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(HierarchicalPartitioner, "partition", spy_partition)
+        monkeypatch.setattr(TrainingSimulator, "simulate", spy_simulate)
+        table_misses_before = shared_table_cache().misses
+        with HyParService(cache_size=4) as service:
+            assert _post(service, "/partition", payload)[0] == 200
+            assert _post(service, "/simulate", payload)[0] == 200
+        assert shared_table_cache().misses == table_misses_before + 1
+        simulator = simulators[0]
+        assert all(other is simulator for other in simulators)
+        # Both endpoints search with the simulator's own partitioner.
+        assert len(searchers) == 2
+        assert all(searcher is simulator.partitioner for searcher in searchers)
 
     def test_healthz_lists_no_search_backends(self):
         with HyParService(cache_size=2) as service:

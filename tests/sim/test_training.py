@@ -4,10 +4,12 @@ import pytest
 
 from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism, model_parallelism
+from repro.core.communication import CommunicationModel
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import DATA, HierarchicalAssignment
+from repro.core.tensors import ScalingMode
 from repro.interconnect import HTreeTopology, TorusTopology
-from repro.nn.model_zoo import lenet_c
+from repro.nn.model_zoo import get_model, lenet_c
 from repro.sim.engine import EventDrivenEngine
 from repro.sim.training import PHASES, TrainingSimulator
 
@@ -194,6 +196,54 @@ class TestCostTableCache:
 
     def test_private_caches_are_per_simulator(self):
         assert TrainingSimulator().table_cache is not TrainingSimulator().table_cache
+
+
+class TestPartitioner:
+    """The simulator derives the search over its own platform."""
+
+    def test_shares_the_simulators_platform(self):
+        communication_model = CommunicationModel(bytes_per_element=2)
+        simulator = TrainingSimulator(
+            ArrayConfig(num_accelerators=8),
+            communication_model=communication_model,
+            scaling_mode="uniform",
+            strategies="dp,mp,pp",
+        )
+        partitioner = simulator.partitioner
+        assert partitioner.communication_model is communication_model
+        assert partitioner.scaling_mode is simulator.scaling_mode
+        assert partitioner.strategies == simulator.strategies
+        assert partitioner.num_levels == 3
+
+    @pytest.mark.parametrize("model_name", ["Lenet-c", "VGG-A", "ResNet-S", "gpt_r-4"])
+    @pytest.mark.parametrize("scaling_mode", list(ScalingMode))
+    @pytest.mark.parametrize("strategies", ["dp,mp", "dp,mp,pp"])
+    def test_searches_like_a_hand_built_partitioner(
+        self, model_name, scaling_mode, strategies
+    ):
+        model = get_model(model_name)
+        simulator = TrainingSimulator(
+            ArrayConfig(num_accelerators=8),
+            scaling_mode=scaling_mode,
+            strategies=strategies,
+        )
+        hand_built = HierarchicalPartitioner(
+            num_levels=3, scaling_mode=scaling_mode, strategies=strategies
+        )
+        derived = simulator.partitioner.partition(
+            model, 64, table=simulator.cost_table(model, 64)
+        )
+        expected = hand_built.partition(model, 64)
+        assert derived.assignment.levels == expected.assignment.levels
+        assert derived.total_communication_bytes == expected.total_communication_bytes
+
+    def test_is_built_once(self, small_simulator):
+        assert small_simulator.partitioner is small_simulator.partitioner
+
+    def test_single_accelerator_has_nothing_to_search(self):
+        simulator = TrainingSimulator(ArrayConfig(num_accelerators=1))
+        with pytest.raises(ValueError, match="num_levels must be positive"):
+            simulator.partitioner
 
 
 class TestLevelChaining:

@@ -1,14 +1,21 @@
-"""Tests for the shared compiled-table cache and its keys."""
+"""Tests for the shared compiled-table cache, its keys and the simulator factory."""
 
 import numpy as np
 import pytest
 
+from repro.accelerator.array import ArrayConfig
 from repro.core.communication import CommunicationModel
 from repro.core.costs import TableCache, table_cache_key
 from repro.core.hierarchical import HierarchicalPartitioner
+from repro.core.tensors import ScalingMode
 from repro.nn.model_zoo import lenet_c, vgg_a
 from repro.sim.training import TrainingSimulator
-from repro.sweep.cache import clear_caches, runtime_cached, shared_table_cache
+from repro.sweep.cache import (
+    cached_simulator,
+    clear_caches,
+    runtime_cached,
+    shared_table_cache,
+)
 
 
 class TestTableCacheKey:
@@ -139,3 +146,56 @@ class TestProcessGlobalCaches:
         assert len(calls) == 1
         assert runtime_cached(("test-key", 2), factory) is not first
         clear_caches()
+
+
+class TestCachedSimulator:
+    """One simulator per platform, however the platform is spelled."""
+
+    ARRAY = ArrayConfig(num_accelerators=8)
+
+    def test_equal_platforms_share_one_simulator(self):
+        simulator = cached_simulator(self.ARRAY)
+        assert cached_simulator(self.ARRAY, strategies="dp,mp") is simulator
+        assert cached_simulator(self.ARRAY, scaling_mode="parallelism-aware") is simulator
+        assert (
+            cached_simulator(self.ARRAY, scaling_mode=ScalingMode.PARALLELISM_AWARE)
+            is simulator
+        )
+        assert (
+            cached_simulator(self.ARRAY, communication_model=CommunicationModel())
+            is simulator
+        )
+        assert cached_simulator(ArrayConfig(num_accelerators=8)) is simulator
+
+    def test_distinct_platforms_get_distinct_simulators(self):
+        simulator = cached_simulator(self.ARRAY)
+        others = [
+            cached_simulator(ArrayConfig(num_accelerators=16)),
+            cached_simulator(ArrayConfig(num_accelerators=8, link_bandwidth_bits=3.2e9)),
+            cached_simulator(self.ARRAY, "torus"),
+            cached_simulator(self.ARRAY, sim_engine="network"),
+            cached_simulator(
+                self.ARRAY, communication_model=CommunicationModel(bytes_per_element=2)
+            ),
+            cached_simulator(self.ARRAY, scaling_mode="uniform"),
+            cached_simulator(self.ARRAY, strategies="dp,mp,pp"),
+        ]
+        assert len({id(other) for other in [simulator, *others]}) == len(others) + 1
+
+    def test_builds_the_named_topology(self):
+        assert cached_simulator(self.ARRAY).topology.name == "h-tree"
+        assert cached_simulator(self.ARRAY, "torus").topology.name == "torus"
+
+    def test_single_accelerator_gets_no_topology(self):
+        single = ArrayConfig(num_accelerators=1)
+        simulator = cached_simulator(single)
+        assert simulator.topology is None
+        assert cached_simulator(single, "torus") is simulator
+
+    def test_simulators_compile_into_the_shared_table_cache(self):
+        assert cached_simulator(self.ARRAY).table_cache is shared_table_cache()
+
+    def test_clear_caches_drops_the_simulators(self):
+        simulator = cached_simulator(self.ARRAY)
+        clear_caches()
+        assert cached_simulator(self.ARRAY) is not simulator
