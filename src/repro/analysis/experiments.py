@@ -204,8 +204,12 @@ class ExperimentRunner:
 
     def strategy_assignments(self, model: DNNModel) -> dict[str, HierarchicalAssignment]:
         """The assignments simulated for one network."""
+        return self._assignments(model, self.optimized_parallelism(model))
+
+    def _assignments(
+        self, model: DNNModel, hypar: HierarchicalResult
+    ) -> dict[str, HierarchicalAssignment]:
         num_levels = self.array.num_levels
-        hypar = self.optimized_parallelism(model)
         assignments = {
             MODEL_PARALLELISM: model_parallelism(model, num_levels),
             DATA_PARALLELISM: data_parallelism(model, num_levels),
@@ -223,7 +227,7 @@ class ExperimentRunner:
         strategy).
         """
         hypar_result = self.optimized_parallelism(model)
-        assignments = self.strategy_assignments(model)
+        assignments = self._assignments(model, hypar_result)
         table = self.simulator.cost_table(model, self.batch_size)
         reports = {
             name: self.simulator.simulate(

@@ -167,10 +167,8 @@ class ParallelismExplorer:
         each worker compiles the shared cost table once and gathers the
         scale-descent tensor amounts from it for all its points.
         """
-        hypar_result = self.runner.optimized_parallelism(model)
-        base_assignment = hypar_result.assignment
-
         comparison = self.runner.compare(model)
+        base_assignment = comparison.hypar_result.assignment
         baseline_report = comparison.reports[DATA_PARALLELISM]
         hypar_performance = comparison.reports[HYPAR].speedup_over(baseline_report)
 

@@ -10,6 +10,8 @@ from repro.analysis.experiments import (
     ONE_WEIRD_TRICK,
     ExperimentRunner,
 )
+from repro.analysis.exploration import ParallelismExplorer
+from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import DATA, MODEL
 from repro.nn.model_zoo import get_model
 
@@ -87,6 +89,35 @@ class TestModelComparison:
     def test_communication_ordering_on_alexnet(self, alexnet_comparison):
         comm = alexnet_comparison.communication_gb()
         assert comm[HYPAR] < comm[DATA_PARALLELISM] < comm[MODEL_PARALLELISM]
+
+
+class TestSearchCount:
+    """A comparison searches each network once and shares the result."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        partition = HierarchicalPartitioner.partition
+
+        def counting(self, model, *args, **kwargs):
+            calls.append(model.name)
+            return partition(self, model, *args, **kwargs)
+
+        monkeypatch.setattr(HierarchicalPartitioner, "partition", counting)
+        return calls
+
+    def test_compare_searches_once(self, searches):
+        ExperimentRunner().compare(get_model("VGG-A"))
+        assert searches == ["VGG-A"]
+
+    def test_run_searches_each_paper_model_once(self, searches):
+        ExperimentRunner().run()
+        assert len(searches) == 10
+        assert len(set(searches)) == 10
+
+    def test_explore_reuses_the_comparisons_search(self, searches):
+        ParallelismExplorer().explore_lenet()
+        assert searches == ["Lenet-c"]
 
 
 class TestEvaluationTable:
