@@ -553,9 +553,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     runner = _build_runner(args)
     result = runner.optimized_parallelism(model)
-    trace = TraceBuilder(scaling_mode=ScalingMode.parse(args.scaling_mode)).build(
-        model, result.assignment, args.batch_size
-    )
+    trace = TraceBuilder(
+        communication_model=runner.simulator.communication_model,
+        scaling_mode=runner.scaling_mode,
+    ).build(model, result.assignment, args.batch_size)
     print(
         f"{model.name}: {len(trace.transfers)} transfers, "
         f"{trace.total_bytes / 1e9:.3f} GB per training step"

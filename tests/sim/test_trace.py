@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.baselines import data_parallelism, model_parallelism
+from repro.core.costmodel import resolve_cost_model, shipped_profiles
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.interconnect import HTreeTopology, TorusTopology
 from repro.sim.trace import CommunicationTrace, TraceBuilder, Transfer
-from repro.nn.model_zoo import alexnet, lenet_c
+from repro.nn.model_zoo import alexnet, lenet_c, resnet_s, vgg_a
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,21 @@ class TestTraceTotals:
                 assert trace.total_bytes == pytest.approx(
                     expected.total_communication_bytes, rel=1e-9
                 )
+
+    @pytest.mark.parametrize("pack", sorted(shipped_profiles()))
+    def test_calibrated_total_matches_partitioner_objective(self, pack):
+        """Under a profiled cost model the trace still totals the objective."""
+        communication_model = resolve_cost_model(f"profiled:{pack}").communication_model()
+        partitioner = HierarchicalPartitioner(
+            num_levels=4, communication_model=communication_model
+        )
+        builder = TraceBuilder(communication_model=communication_model)
+        for model in (vgg_a(), lenet_c(), resnet_s()):
+            result = partitioner.partition(model, 256)
+            trace = builder.build(model, result.assignment, 256)
+            assert trace.total_bytes == pytest.approx(
+                result.total_communication_bytes, rel=1e-9
+            )
 
     def test_per_level_totals_match(self, builder):
         model = alexnet()

@@ -96,6 +96,16 @@ class TestCommands:
         assert "by phase" in out
         assert "H1" in out
 
+    def test_trace_prices_the_searched_assignment_with_its_cost_model(self, capsys):
+        flags = ["VGG-A", "--cost-model", "profiled:fp16-precision"]
+        assert main(["partition", *flags]) == 0
+        partition_out = capsys.readouterr().out
+        assert main(["trace", *flags]) == 0
+        trace_out = capsys.readouterr().out
+        searched = partition_out.split("total communication ")[1].split(" GB/step")[0]
+        traced = trace_out.split("transfers, ")[1].split(" GB per training step")[0]
+        assert traced == searched == "0.813"
+
 
 class TestBadInput:
     """Bad arguments are usage errors naming the argument, not tracebacks."""
