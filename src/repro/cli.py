@@ -140,15 +140,19 @@ def _accelerator_count(text: str) -> int:
     return count
 
 
-def _add_platform_options(
-    parser: argparse.ArgumentParser, accelerator_type=_accelerator_count
-) -> None:
+def _add_batch_size_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-size",
         type=_batch_size,
         default=DEFAULT_BATCH_SIZE,
         help="training batch size (default: %(default)s, the paper's setting)",
     )
+
+
+def _add_platform_options(
+    parser: argparse.ArgumentParser, accelerator_type=_accelerator_count
+) -> None:
+    _add_batch_size_option(parser)
     parser.add_argument(
         "--accelerators",
         type=accelerator_type,
@@ -156,6 +160,10 @@ def _add_platform_options(
         help="number of accelerators in the array; a power of two, at least 2 "
         "where a partition is searched (default: %(default)s)",
     )
+    _add_space_options(parser)
+
+
+def _add_space_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scaling-mode",
         choices=[mode.value for mode in ScalingMode],
@@ -206,14 +214,13 @@ def _add_sim_engine_option(parser: argparse.ArgumentParser) -> None:
 def _build_runner(args: argparse.Namespace, include_trick: bool = False):
     from repro.analysis.experiments import ExperimentRunner
 
-    array = ArrayConfig(num_accelerators=args.accelerators)
     return ExperimentRunner(
-        array=array,
+        array=ArrayConfig(num_accelerators=args.accelerators),
         batch_size=args.batch_size,
         scaling_mode=args.scaling_mode,
         include_trick=include_trick,
-        strategies=getattr(args, "strategies", None),
-        cost_model=getattr(args, "cost_model", "analytic"),
+        strategies=args.strategies,
+        cost_model=args.cost_model,
     )
 
 
@@ -703,7 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
     scalability_parser.add_argument(
         "--out", metavar="DIR", help="write the study rows as JSON/CSV artifacts"
     )
-    _add_common_options(scalability_parser)
+    _add_batch_size_option(scalability_parser)
+    _add_space_options(scalability_parser)
     scalability_parser.set_defaults(handler=_cmd_scalability)
 
     topology_parser = subparsers.add_parser(
@@ -713,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     topology_parser.add_argument(
         "--out", metavar="DIR", help="write the study rows as JSON/CSV artifacts"
     )
-    _add_common_options(topology_parser)
+    _add_platform_options(topology_parser)
     topology_parser.set_defaults(handler=_cmd_topology)
 
     trick_parser = subparsers.add_parser(
@@ -722,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     trick_parser.add_argument(
         "--out", metavar="DIR", help="write the study rows as JSON/CSV artifacts"
     )
-    _add_common_options(trick_parser)
+    _add_space_options(trick_parser)
     trick_parser.set_defaults(handler=_cmd_trick)
 
     sweep_parser = subparsers.add_parser(

@@ -162,6 +162,25 @@ class TestBadInput:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trick", "--accelerators", "4"],
+            ["trick", "--batch-size", "8"],
+            ["trick", "--cost-model", "profiled:fp16-precision"],
+            ["topology", "Lenet-c", "--cost-model", "profiled:fp16-precision"],
+            ["scalability", "--accelerators", "64"],
+            ["scalability", "--cost-model", "profiled:fp16-precision"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_study_options_it_would_ignore_are_unrecognized(self, argv, capsys):
+        """A study command takes only the options its study reads."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
     def test_single_accelerator_still_simulates(self, capsys):
         assert main(["simulate", "Lenet-c", "--accelerators", "1", "--batch-size", "64"]) == 0
         assert "1 accelerators" in capsys.readouterr().out
