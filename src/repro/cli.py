@@ -83,6 +83,7 @@ reproduces the paper exactly).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -140,6 +141,68 @@ def _accelerator_count(text: str) -> int:
     return count
 
 
+def _array_sizes(text: str) -> list[int]:
+    """``type=`` of ``scalability --sizes``: comma-separated array sizes."""
+    try:
+        return [_array_size(size) for size in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated powers of two, got {text!r}"
+        ) from None
+
+
+def _positive_int(text: str) -> int:
+    """``type=`` of counts that must be at least one."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _fleet_size(text: str) -> int:
+    """``type=`` of ``replan --nodes``: a fleet the replanner can shrink."""
+    count = int(text)
+    if count < 2:
+        raise argparse.ArgumentTypeError(f"a fleet needs at least 2 nodes, got {count}")
+    return count
+
+
+def _positive_seconds(text: str) -> float:
+    """``type=`` of ``serve --request-timeout``: a positive duration."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return seconds
+
+
+def _existing_file(path: str) -> str:
+    """``type=`` of input-file arguments: a path that names a file."""
+    if not os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"no such file: {path!r}")
+    return path
+
+
+def _cost_model(spec: str) -> str:
+    """``type=`` of ``--cost-model``: a spec that resolves to a cost model."""
+    from repro.core.costmodel import resolve_cost_model
+
+    try:
+        resolve_cost_model(spec)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return spec
+
+
+def _sweep_spec(name_or_path: str):
+    """``type=`` of the ``sweep`` spec: a preset name or a readable spec file."""
+    from repro.sweep.spec import load_spec
+
+    try:
+        return load_spec(name_or_path)
+    except (OSError, ValueError) as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+
+
 def _add_batch_size_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-size",
@@ -190,6 +253,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 def _add_cost_model_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cost-model",
+        type=_cost_model,
         default="analytic",
         metavar="SPEC",
         help="where the Table-1/2 cost numbers come from: 'analytic' (the "
@@ -351,10 +415,9 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
     from repro.analysis.scalability import run_scalability_study
 
     model = get_model(args.model)
-    sizes = [int(size) for size in args.sizes.split(",")]
     study = run_scalability_study(
         model=model,
-        array_sizes=sizes,
+        array_sizes=args.sizes,
         batch_size=args.batch_size,
         scaling_mode=args.scaling_mode,
         strategies=args.strategies,
@@ -445,18 +508,18 @@ def _cmd_trick(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import HYPAR, PRESETS, SweepEngine, load_spec, run_sweep
+    from repro.sweep import HYPAR, PRESETS, SweepEngine, run_sweep
 
     if args.list:
         print("sweep presets:")
         for name in sorted(PRESETS):
             print(f"  {name:<8s} {PRESETS[name].describe()}")
         return 0
-    if not args.spec:
+    if args.spec is None:
         print("error: a spec (preset name or .json path) is required", file=sys.stderr)
         return 2
 
-    spec = load_spec(args.spec)
+    spec = args.spec
     if args.cost_model != "analytic":
         # The flag overrides the spec's cost-model axis wholesale: the
         # whole grid runs under the named provider.
@@ -587,6 +650,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.training import PHASES
     from repro.sweep.cache import cached_simulator
 
+    if args.strategy != "hypar" and args.accelerators == 1:
+        args.error(
+            f"argument --strategy: the {args.strategy} baseline needs at least "
+            "2 accelerators, got --accelerators 1"
+        )
     model = get_model(args.model)
     simulator = cached_simulator(
         ArrayConfig(num_accelerators=args.accelerators),
@@ -705,7 +773,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scalability_parser.add_argument("--model", type=_model_name, default="VGG-A")
     scalability_parser.add_argument(
-        "--sizes", default="1,2,4,8,16,32,64", help="comma-separated accelerator counts"
+        "--sizes",
+        type=_array_sizes,
+        default="1,2,4,8,16,32,64",
+        help="comma-separated accelerator counts, each a power of two "
+        "(default: %(default)s)",
     )
     scalability_parser.add_argument(
         "--out", metavar="DIR", help="write the study rows as JSON/CSV artifacts"
@@ -741,11 +813,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "spec",
         nargs="?",
+        type=_sweep_spec,
         help="preset name (see --list) or path to a sweep spec .json",
     )
     sweep_parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes (default: %(default)s, i.e. serial; results "
         "are byte-identical for any worker count)",
@@ -782,14 +855,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="persistent worker processes behind POST /sweep "
         "(default: %(default)s, i.e. in-process serial)",
     )
     serve_parser.add_argument(
         "--cache-size",
-        type=int,
+        type=_positive_int,
         default=256,
         help="LRU response-cache capacity (default: %(default)s entries)",
     )
@@ -800,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--request-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="S",
         help="per-request server-side deadline in seconds; overruns answer "
@@ -830,11 +903,13 @@ def build_parser() -> argparse.ArgumentParser:
     replan_parser.add_argument(
         "model",
         nargs="?",
+        type=_model_name,
         default="Lenet-c",
         help="network name (default: %(default)s)",
     )
     replan_parser.add_argument(
         "--trace",
+        type=_existing_file,
         metavar="PATH",
         help="availability trace JSONL to replay (default: synthesize --preset)",
     )
@@ -850,11 +925,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace generator seed (default: %(default)s)",
     )
     replan_parser.add_argument(
-        "--events", type=int, default=10,
+        "--events", type=_positive_int, default=10,
         help="synthesized membership events (default: %(default)s)",
     )
     replan_parser.add_argument(
-        "--nodes", type=int, default=16,
+        "--nodes", type=_fleet_size, default=16,
         help="fleet size the trace runs against (default: %(default)s)",
     )
     replan_parser.add_argument(
@@ -865,14 +940,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replan_parser.add_argument(
         "--horizon-steps",
-        type=int,
+        type=_positive_int,
         default=500,
         help="training steps the hysteresis policy amortizes a voluntary "
         "migration over (default: %(default)s)",
     )
     replan_parser.add_argument(
         "--batch-size",
-        type=int,
+        type=_batch_size,
         default=DEFAULT_BATCH_SIZE,
         help="training batch size (default: %(default)s)",
     )
@@ -935,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_platform_options(simulate_parser, accelerator_type=_array_size)
     _add_sim_engine_option(simulate_parser)
-    simulate_parser.set_defaults(handler=_cmd_simulate)
+    simulate_parser.set_defaults(handler=_cmd_simulate, error=simulate_parser.error)
 
     return parser
 

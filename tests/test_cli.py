@@ -130,6 +130,84 @@ class TestBadInput:
                 "of two >= 2, got 1",
             )
             for command in ("partition", "compare", "placement", "trace", "topology")
+        ]
+        + [
+            (["replan", "nosuch"], "argument model: unknown model 'nosuch'"),
+            (
+                ["replan", "--batch-size", "0"],
+                "argument --batch-size: batch_size must be positive, got 0",
+            ),
+            (["replan", "--nodes", "1"], "argument --nodes: a fleet needs at least 2 nodes, got 1"),
+            (["replan", "--events", "0"], "argument --events: must be a positive integer, got 0"),
+            (
+                ["replan", "--horizon-steps", "0"],
+                "argument --horizon-steps: must be a positive integer, got 0",
+            ),
+            (
+                ["replan", "--trace", "missing.jsonl"],
+                "argument --trace: no such file: 'missing.jsonl'",
+            ),
+            (["sweep", "nosuch"], "argument spec: unknown sweep preset 'nosuch'"),
+            (
+                ["sweep", "missing.json"],
+                "argument spec: [Errno 2] No such file or directory: 'missing.json'",
+            ),
+            (
+                ["sweep", "smoke", "--workers", "0"],
+                "argument --workers: must be a positive integer, got 0",
+            ),
+            (
+                ["scalability", "--sizes", "3"],
+                "argument --sizes: num_accelerators must be a power of two, got 3",
+            ),
+            (
+                ["scalability", "--sizes", "0"],
+                "argument --sizes: num_accelerators must be positive",
+            ),
+            (
+                ["scalability", "--sizes", "1,2,,4"],
+                "argument --sizes: expected comma-separated powers of two, got '1,2,,4'",
+            ),
+        ]
+        + [
+            (
+                ["simulate", "Lenet-c", "--strategy", strategy, "--accelerators", "1"],
+                f"argument --strategy: the {strategy} baseline needs at least "
+                "2 accelerators, got --accelerators 1",
+            )
+            for strategy in ("dp", "mp")
+        ]
+        + [
+            (["serve", "--workers", "0"], "argument --workers: must be a positive integer, got 0"),
+            (
+                ["serve", "--cache-size", "0"],
+                "argument --cache-size: must be a positive integer, got 0",
+            ),
+            (
+                ["serve", "--request-timeout", "-1"],
+                "argument --request-timeout: must be a positive number of seconds, got -1",
+            ),
+        ]
+        + [
+            (
+                [*argv, "--cost-model", spec],
+                f"argument --cost-model: {error}",
+            )
+            for argv in (
+                ["partition", "Lenet-c"],
+                ["compare", "Lenet-c"],
+                ["sweep", "smoke"],
+                ["replan"],
+                ["serve"],
+            )
+            for spec, error in (
+                (
+                    "bogus",
+                    "cost model must be 'analytic' or 'profiled:<pack-or-path>', "
+                    "got 'bogus'",
+                ),
+                ("profiled:nosuch", "unknown profile pack 'nosuch'"),
+            )
         ],
         ids=[
             "unknown-model",
@@ -140,6 +218,28 @@ class TestBadInput:
             "placement-accelerators-1",
             "trace-accelerators-1",
             "topology-accelerators-1",
+            "replan-unknown-model",
+            "replan-batch-size-0",
+            "replan-nodes-1",
+            "replan-events-0",
+            "replan-horizon-steps-0",
+            "replan-missing-trace",
+            "sweep-unknown-preset",
+            "sweep-missing-spec",
+            "sweep-workers-0",
+            "scalability-sizes-3",
+            "scalability-sizes-0",
+            "scalability-sizes-empty-entry",
+            "simulate-dp-accelerators-1",
+            "simulate-mp-accelerators-1",
+            "serve-workers-0",
+            "serve-cache-size-0",
+            "serve-request-timeout-negative",
+        ]
+        + [
+            f"{command}-cost-model-{kind}"
+            for command in ("partition", "compare", "sweep", "replan", "serve")
+            for kind in ("bogus", "unknown-pack")
         ],
     )
     def test_rejected_by_the_parser(self, argv, error, capsys):
