@@ -22,7 +22,8 @@ from repro.core.parallelism import StrategySpace
 from repro.core.tensors import ScalingMode
 from repro.sim.backend import DEFAULT_SIM_ENGINE, validate_sim_engine
 
-#: Topology names the runner can instantiate (see ``runner.TOPOLOGIES``).
+#: Topology names the runner can instantiate (see
+#: :func:`repro.interconnect.build_topology`).
 TOPOLOGY_NAMES = ("htree", "torus")
 
 #: The paper's ten evaluation networks, in figure order.
