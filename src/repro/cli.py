@@ -83,7 +83,6 @@ reproduces the paper exactly).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -173,13 +172,6 @@ def _positive_seconds(text: str) -> float:
     if not seconds > 0:
         raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
     return seconds
-
-
-def _existing_file(path: str) -> str:
-    """``type=`` of input-file arguments: a path that names a file."""
-    if not os.path.isfile(path):
-        raise argparse.ArgumentTypeError(f"no such file: {path!r}")
-    return path
 
 
 def _cost_model(spec: str) -> str:
@@ -581,7 +573,10 @@ def _cmd_replan(args: argparse.Namespace) -> int:
     from repro.resilience.traces import AvailabilityTrace, synthesize_trace
 
     if args.trace:
-        trace = AvailabilityTrace.load(args.trace, num_nodes=args.nodes)
+        try:
+            trace = AvailabilityTrace.load(args.trace, num_nodes=args.nodes)
+        except (OSError, ValueError) as error:
+            args.error(f"argument --trace: {error}")
     else:
         trace = synthesize_trace(
             args.preset, num_nodes=args.nodes, seed=args.seed, num_events=args.events
@@ -909,7 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replan_parser.add_argument(
         "--trace",
-        type=_existing_file,
         metavar="PATH",
         help="availability trace JSONL to replay (default: synthesize --preset)",
     )
@@ -966,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also save the (synthesized or loaded) trace as JSONL",
     )
-    replan_parser.set_defaults(handler=_cmd_replan)
+    replan_parser.set_defaults(handler=_cmd_replan, error=replan_parser.error)
 
     placement_parser = subparsers.add_parser(
         "placement", help="show per-accelerator tensor shards and memory footprints"

@@ -145,7 +145,7 @@ class TestBadInput:
             ),
             (
                 ["replan", "--trace", "missing.jsonl"],
-                "argument --trace: no such file: 'missing.jsonl'",
+                "argument --trace: [Errno 2] No such file or directory: 'missing.jsonl'",
             ),
             (["sweep", "nosuch"], "argument spec: unknown sweep preset 'nosuch'"),
             (
@@ -261,6 +261,16 @@ class TestBadInput:
             build_parser().parse_args(argv + ["--backend", "numpy"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
+
+    def test_malformed_trace_is_a_usage_error(self, tmp_path, capsys):
+        trace = tmp_path / "garbage.jsonl"
+        trace.write_text("not json\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replan", "--trace", str(trace)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "hypar replan: error: argument --trace: trace line 1 is not JSON"
+        )
 
     @pytest.mark.parametrize(
         "argv",
