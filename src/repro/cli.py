@@ -90,12 +90,11 @@ from typing import Sequence
 # validators come from these modules.  Anything else is imported by the
 # handler that runs it, so a command loads only what it uses.
 from repro.accelerator.array import ArrayConfig
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import DEFAULT_SPACE, StrategySpace
 from repro.core.strategies import registered_strategies
 from repro.core.tensors import ScalingMode
 from repro.nn.model_zoo import all_model_builders, get_model
-from repro.sim.backend import DEFAULT_SIM_ENGINE, SIM_ENGINES
+from repro.sim.backend import SIM_ENGINES
+from repro.sweep.spec import TOPOLOGY_NAMES, PlanConfig
 
 
 def _model_name(name: str) -> str:
@@ -108,22 +107,25 @@ def _model_name(name: str) -> str:
     return name
 
 
-def _batch_size(text: str) -> int:
-    """``type=`` of ``--batch-size``: a positive integer."""
-    batch_size = int(text)
-    if batch_size <= 0:
-        raise argparse.ArgumentTypeError(f"batch_size must be positive, got {batch_size}")
-    return batch_size
+def _plan_option(field: str, convert=str):
+    """``type=`` of the option setting platform ``field``: the ``convert``-ed
+    text in :class:`~repro.sweep.spec.PlanConfig`'s canonical spelling."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            return PlanConfig.canonical(field, value)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    # argparse names a failed ``convert`` after the type function.
+    parse.__name__ = field
+    return parse
 
 
-def _array_size(text: str) -> int:
-    """``type=`` of ``simulate --accelerators``: any size :class:`ArrayConfig` accepts."""
-    count = int(text)
-    try:
-        ArrayConfig(num_accelerators=count)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-    return count
+_batch_size = _plan_option("batch_size", int)
+#: ``simulate --accelerators``: one accelerator is allowed there.
+_array_size = _plan_option("num_accelerators", int)
 
 
 def _accelerator_count(text: str) -> int:
@@ -166,6 +168,14 @@ def _fleet_size(text: str) -> int:
     return count
 
 
+def _port(text: str) -> int:
+    """``type=`` of ``serve --port``: a TCP port (0 picks a free one)."""
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a TCP port in 0-65535, got {port}")
+    return port
+
+
 def _positive_seconds(text: str) -> float:
     """``type=`` of ``serve --request-timeout``: a positive duration."""
     seconds = float(text)
@@ -174,11 +184,13 @@ def _positive_seconds(text: str) -> float:
     return seconds
 
 
-def _cost_model(spec: str) -> str:
-    """``type=`` of ``--cost-model``: a spec that resolves to a cost model."""
+def _cost_model(text: str) -> str:
+    """``type=`` of ``--cost-model``: a spec that resolves to a cost model
+    (unlike the service, the CLI may name a profile file by its path)."""
     from repro.core.costmodel import resolve_cost_model
 
     try:
+        spec = PlanConfig.canonical("cost_model", text)
         resolve_cost_model(spec)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
@@ -195,11 +207,16 @@ def _sweep_spec(name_or_path: str):
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
+# The platform options take their defaults and validators from PlanConfig;
+# a ``choices`` list only names the canonical values in the usage text.
+# ``default=None`` (``hypar sweep``) keeps the spec's axis when omitted.
+
+
 def _add_batch_size_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--batch-size",
         type=_batch_size,
-        default=DEFAULT_BATCH_SIZE,
+        default=PlanConfig.batch_size,
         help="training batch size (default: %(default)s, the paper's setting)",
     )
 
@@ -211,28 +228,33 @@ def _add_platform_options(
     parser.add_argument(
         "--accelerators",
         type=accelerator_type,
-        default=16,
+        default=PlanConfig.num_accelerators,
         help="number of accelerators in the array; a power of two, at least 2 "
         "where a partition is searched (default: %(default)s)",
     )
     _add_space_options(parser)
 
 
-def _add_space_options(parser: argparse.ArgumentParser) -> None:
+def _add_scaling_mode_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scaling-mode",
+        type=_plan_option("scaling_mode"),
         choices=[mode.value for mode in ScalingMode],
-        default=ScalingMode.PARALLELISM_AWARE.value,
+        default=PlanConfig.scaling_mode,
         help="how tensor amounts shrink at deeper hierarchy levels "
         "(default: %(default)s)",
     )
+
+
+def _add_space_options(parser: argparse.ArgumentParser) -> None:
+    _add_scaling_mode_option(parser)
     parser.add_argument(
         "--strategies",
-        type=StrategySpace.parse,
-        default=DEFAULT_SPACE,
+        type=_plan_option("strategies"),
+        default=PlanConfig.strategies,
         metavar="LIST",
         help="comma-separated per-layer strategy space searched at every "
-        "level, e.g. dp,mp,pp (default: dp,mp, the paper's axis; see "
+        "level, e.g. dp,mp,pp (default: %(default)s, the paper's axis; see "
         "'hypar strategies')",
     )
 
@@ -242,28 +264,36 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     _add_cost_model_option(parser)
 
 
-def _add_cost_model_option(parser: argparse.ArgumentParser) -> None:
+def _add_cost_model_option(
+    parser: argparse.ArgumentParser, default: str | None = PlanConfig.cost_model
+) -> None:
     parser.add_argument(
         "--cost-model",
         type=_cost_model,
-        default="analytic",
+        default=default,
         metavar="SPEC",
         help="where the Table-1/2 cost numbers come from: 'analytic' (the "
         "paper's formulas) or 'profiled:<pack>' with a shipped profile "
         "pack name or a path to a hypar-profile/v1 JSON (see "
-        "repro.core.costmodel; default: %(default)s)",
+        "repro.core.costmodel; default: "
+        + ("the spec's cost models" if default is None else "%(default)s")
+        + ")",
     )
 
 
-def _add_sim_engine_option(parser: argparse.ArgumentParser) -> None:
+def _add_sim_engine_option(
+    parser: argparse.ArgumentParser, default: str | None = PlanConfig.sim_engine
+) -> None:
     parser.add_argument(
         "--sim-engine",
+        type=_plan_option("sim_engine"),
         choices=SIM_ENGINES,
-        default=DEFAULT_SIM_ENGINE,
+        default=default,
         help="step-time engine: 'analytic' (the paper's closed-form link "
         "model) or 'network' (contention-aware discrete-event simulation "
-        "of the physical links; see repro.sim.network; "
-        "default: %(default)s)",
+        "of the physical links; see repro.sim.network; default: "
+        + ("the spec's engines" if default is None else "%(default)s")
+        + ")",
     )
 
 
@@ -511,18 +541,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("error: a spec (preset name or .json path) is required", file=sys.stderr)
         return 2
 
+    import dataclasses
+
     spec = args.spec
-    if args.cost_model != "analytic":
-        # The flag overrides the spec's cost-model axis wholesale: the
-        # whole grid runs under the named provider.
-        import dataclasses
-
+    # A given flag overrides its axis wholesale, whatever its value: the
+    # whole grid runs under the named provider or engine.  An omitted
+    # flag keeps the spec's axis.
+    if args.cost_model is not None:
         spec = dataclasses.replace(spec, cost_models=(args.cost_model,))
-    if args.sim_engine != "analytic":
-        # Likewise for the engine axis: the whole grid runs through the
-        # network simulator.
-        import dataclasses
-
+    if args.sim_engine is not None:
         spec = dataclasses.replace(spec, sim_engines=(args.sim_engine,))
     print(spec.describe())
     with SweepEngine(workers=args.workers) as engine:
@@ -643,7 +670,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.api import SimulationSpec
     from repro.sim.api import simulate as run_simulation
     from repro.sim.training import PHASES
-    from repro.sweep.cache import cached_simulator
 
     if args.strategy != "hypar" and args.accelerators == 1:
         args.error(
@@ -651,13 +677,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "2 accelerators, got --accelerators 1"
         )
     model = get_model(args.model)
-    simulator = cached_simulator(
-        ArrayConfig(num_accelerators=args.accelerators),
-        args.topology,
+    simulator = PlanConfig(
+        batch_size=args.batch_size,
+        num_accelerators=args.accelerators,
+        topology=args.topology,
         scaling_mode=args.scaling_mode,
         strategies=args.strategies,
         sim_engine=args.sim_engine,
-    )
+    ).simulator()
 
     assignment = None
     strategy_name = None
@@ -826,8 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--list", action="store_true", help="list the built-in sweep presets"
     )
-    _add_cost_model_option(sweep_parser)
-    _add_sim_engine_option(sweep_parser)
+    _add_cost_model_option(sweep_parser, default=None)
+    _add_sim_engine_option(sweep_parser, default=None)
     sweep_parser.set_defaults(handler=_cmd_sweep)
 
     serve_parser = subparsers.add_parser(
@@ -844,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8100,
         help="TCP port (default: %(default)s; 0 picks a free port)",
     )
@@ -939,18 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="training steps the hysteresis policy amortizes a voluntary "
         "migration over (default: %(default)s)",
     )
-    replan_parser.add_argument(
-        "--batch-size",
-        type=_batch_size,
-        default=DEFAULT_BATCH_SIZE,
-        help="training batch size (default: %(default)s)",
-    )
-    replan_parser.add_argument(
-        "--scaling-mode",
-        choices=[mode.value for mode in ScalingMode],
-        default=ScalingMode.PARALLELISM_AWARE.value,
-        help="tensor scaling at deeper hierarchy levels (default: %(default)s)",
-    )
+    _add_batch_size_option(replan_parser)
+    _add_scaling_mode_option(replan_parser)
     _add_cost_model_option(replan_parser)
     replan_parser.add_argument(
         "--out", metavar="DIR", help="write the replan.json / replan.csv artifacts"
@@ -998,8 +1015,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_parser.add_argument(
         "--topology",
-        choices=("htree", "torus"),
-        default="htree",
+        type=_plan_option("topology"),
+        choices=TOPOLOGY_NAMES,
+        default=PlanConfig.topology,
         help="interconnect joining the accelerators (default: %(default)s)",
     )
     _add_platform_options(simulate_parser, accelerator_type=_array_size)

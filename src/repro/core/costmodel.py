@@ -46,7 +46,6 @@ or a path to a profile JSON.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Mapping, Sequence
 
@@ -396,6 +395,9 @@ class ProfiledCostModel(CostModel):
     @classmethod
     def load(cls, path: str, spec: str | None = None) -> "ProfiledCostModel":
         """Read and fit a profile JSON file."""
+        # Imported here: every command parses a cost-model spec, few load one.
+        import json
+
         try:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)

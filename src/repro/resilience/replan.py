@@ -37,14 +37,11 @@ import dataclasses
 from typing import Mapping
 
 from repro.accelerator.array import ArrayConfig
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE, HierarchicalWarmStart
+from repro.core.hierarchical import HierarchicalWarmStart
 from repro.core.placement import Interval, TensorPlacement
-from repro.core.tensors import ScalingMode
-from repro.core.parallelism import StrategySpace
-from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model
 from repro.nn.model_zoo import canonical_model_name
 from repro.sweep import artifacts
-from repro.sweep.spec import TOPOLOGY_NAMES, SweepPoint
+from repro.sweep.spec import PlanConfig, canonicalize_plan
 from repro.resilience.traces import AvailabilityTrace
 
 #: Re-planning policies ``hypar replan --policy`` accepts.
@@ -56,48 +53,50 @@ ACTIONS = ("replan", "remap", "none", "down")
 
 @dataclasses.dataclass(frozen=True)
 class ReplanConfig:
-    """One elastic re-planning scenario (canonicalized on construction)."""
+    """One elastic re-planning scenario (canonicalized on construction).
+
+    Its platform fields are :class:`~repro.sweep.spec.PlanConfig`'s but the
+    array size, which the survivors set per solve (:meth:`plan`), and the
+    engine, which is analytic.
+    """
 
     model: str = "Lenet-c"
-    batch_size: int = DEFAULT_BATCH_SIZE
+    batch_size: int = PlanConfig.batch_size
     policy: str = "every-event"
-    topology: str = "htree"
-    scaling_mode: str = ScalingMode.PARALLELISM_AWARE.value
-    strategies: str = "dp,mp"
+    topology: str = PlanConfig.topology
+    scaling_mode: str = PlanConfig.scaling_mode
+    strategies: str = PlanConfig.strategies
     #: Steps the hysteresis policy amortizes a migration stall over.
     horizon_steps: int = 500
     #: Cost-model spec (``"analytic"`` / ``"profiled:<pack>"``) every
     #: per-depth solve and migration pricing evaluates under.
-    cost_model: str = ANALYTIC_SPEC
+    cost_model: str = PlanConfig.cost_model
+
+    _PLAN_FIELDS = ("batch_size", "topology", "scaling_mode", "strategies", "cost_model")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", canonical_model_name(self.model))
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown replan policy {self.policy!r}; known: {', '.join(POLICIES)}"
             )
-        if self.topology not in TOPOLOGY_NAMES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; known: {', '.join(TOPOLOGY_NAMES)}"
-            )
-        object.__setattr__(
-            self, "scaling_mode", ScalingMode.parse(self.scaling_mode).value
-        )
-        object.__setattr__(
-            self, "strategies", StrategySpace.parse(self.strategies).describe()
-        )
         if self.horizon_steps < 1:
             raise ValueError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
-        object.__setattr__(self, "cost_model", canonical_cost_model(self.cost_model))
+        canonicalize_plan(self, self._PLAN_FIELDS)
+
+    def plan(self, num_accelerators: int) -> PlanConfig:
+        """The platform of a ``num_accelerators`` sub-array."""
+        return PlanConfig(
+            num_accelerators=num_accelerators,
+            **{name: getattr(self, name) for name in self._PLAN_FIELDS},
+        )
 
     def to_payload(self) -> dict:
         payload = dataclasses.asdict(self)
         # The analytic default serializes exactly as it always has (the
         # replan golden pins the historical seven-key config payload);
         # only calibrated scenarios carry the extra field.
-        if payload["cost_model"] == ANALYTIC_SPEC:
+        if payload["cost_model"] == PlanConfig.cost_model:
             del payload["cost_model"]
         return payload
 
@@ -179,33 +178,21 @@ class ElasticReplanner:
     # Per-depth solves (shared within one run, warm-started across depths).
     # ------------------------------------------------------------------
 
-    def _point(self, num_levels: int) -> SweepPoint:
-        return SweepPoint.single(
-            model=self.config.model,
-            batch_size=self.config.batch_size,
-            num_accelerators=1 << num_levels,
-            topology=self.config.topology,
-            scaling_mode=self.config.scaling_mode,
-            strategies=self.config.strategies,
-            cost_model=self.config.cost_model,
-        )
-
     def _solve(self, num_levels: int) -> tuple[tuple[str, ...], float, float, "TensorPlacement | None"]:
         """(assignment levels, step seconds, communication GB, placement)."""
         cached = self._solves.get(num_levels)
         if cached is not None:
             return cached
-        from repro.sweep.runner import HYPAR, _model_for, _simulator_for
+        from repro.sweep.runner import HYPAR, _model_for
 
         model = _model_for(self.config.model)
+        simulator = self.config.plan(1 << num_levels).simulator()
         if num_levels == 0:
-            simulator = _simulator_for(self._point(0))
             report = simulator.simulate(
                 model, None, self.config.batch_size, strategy_name="single"
             )
             solved = ((), report.step_seconds, report.communication_gb, None)
         else:
-            simulator = _simulator_for(self._point(num_levels))
             table = simulator.cost_table(model, self.config.batch_size)
             result = simulator.partitioner.partition(
                 model, self.config.batch_size, table=table, warm=self._warm
@@ -267,12 +254,11 @@ class ElasticReplanner:
         """
         if new.is_down:
             return MigrationCost(0.0, 0.0)
-        from repro.sweep.runner import _model_for, _simulator_for
+        from repro.sweep.runner import _model_for
 
         model = _model_for(self.config.model)
-        bytes_per_element = _simulator_for(
-            self._point(new.num_levels)
-        ).communication_model.bytes_per_element
+        simulator = self.config.plan(1 << new.num_levels).simulator()
+        bytes_per_element = simulator.communication_model.bytes_per_element
         old_slot_of: dict[int, int] = (
             {} if old is None or old.is_down else {node: slot for slot, node in enumerate(old.used)}
         )

@@ -30,6 +30,8 @@ import math
 import random
 from typing import Iterator, Mapping, Sequence
 
+from repro.sweep.artifacts import ensure_parent
+
 #: Membership event kinds, in the order the format documents them.
 EVENT_KINDS = ("leave", "join")
 
@@ -41,6 +43,14 @@ _HEADER_KEYS = ("num_nodes", "horizon", "preset", "seed")
 
 #: Event keys; anything else on an event line is an error.
 _EVENT_KEYS = ("t", "event", "nodes")
+
+
+def _seconds(value) -> float:
+    """``float(value)``, with an int beyond the float range as infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,9 +68,10 @@ class TraceEvent:
             )
         if not isinstance(self.t, (int, float)) or isinstance(self.t, bool):
             raise ValueError(f"event time must be a number, got {self.t!r}")
-        if not math.isfinite(self.t) or self.t < 0:
+        t = _seconds(self.t)
+        if not math.isfinite(t) or t < 0:
             raise ValueError(f"event time must be finite and >= 0, got {self.t!r}")
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
         nodes = tuple(self.nodes)
         if not nodes:
             raise ValueError("a trace event needs at least one node")
@@ -112,7 +123,7 @@ class AvailabilityTrace:
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
         if self.horizon is not None:
-            horizon = float(self.horizon)
+            horizon = _seconds(self.horizon)
             if not math.isfinite(horizon) or horizon < 0:
                 raise ValueError(f"horizon must be finite and >= 0, got {self.horizon!r}")
             object.__setattr__(self, "horizon", horizon)
@@ -237,6 +248,7 @@ class AvailabilityTrace:
         )
 
     def save(self, path: str) -> None:
+        ensure_parent(path)
         with open(path, "w") as handle:
             handle.write(self.to_jsonl())
 

@@ -20,7 +20,10 @@ Endpoints
 ``POST /replan``
     Elastic re-planning over an availability trace (inline events or a
     named preset; see :mod:`repro.resilience`).  The response bytes equal
-    the ``replan.json`` artifact of the matching ``hypar replan`` run.
+    the ``replan.json`` artifact of the matching ``hypar replan`` run
+    except the trace's provenance: the service synthesizes a preset while
+    it canonicalizes the request, so its ``trace.preset`` and
+    ``trace.seed`` are ``null`` where the CLI writes the preset and seed.
 ``GET /models`` / ``GET /strategies``
     The model zoo and the strategy registry.
 ``GET /healthz``
@@ -41,13 +44,13 @@ import threading
 import time
 from typing import Callable, Mapping
 
-from repro.core.costmodel import ANALYTIC_SPEC, shipped_profiles
+from repro.core.costmodel import shipped_profiles
 from repro.core.result import HierarchicalResult
 from repro.core.strategies import registered_strategies
 from repro.nn.model_zoo import all_model_builders
 from repro.resilience.replan import run_replan
 from repro.service.cache import DEFAULT_CACHE_SIZE, KeyedLocks, ResultCache
-from repro.sim.backend import DEFAULT_SIM_ENGINE, SIM_ENGINES
+from repro.sim.backend import SIM_ENGINES
 from repro.service.schemas import (
     PartitionRequest,
     ReplanRequest,
@@ -60,8 +63,8 @@ from repro.service.schemas import (
 from repro.sweep.artifacts import payload_to_json
 from repro.sweep.cache import shared_table_cache
 from repro.sweep.engine import SweepEngine
-from repro.sweep.runner import _model_for, _simulator_for, evaluate_point, run_sweep
-from repro.sweep.spec import SweepPoint
+from repro.sweep.runner import _model_for, evaluate_point, run_sweep
+from repro.sweep.spec import PlanConfig
 
 #: Method and one-line summary per path, also served on 404s.
 ENDPOINTS: Mapping[str, tuple[str, str]] = {
@@ -123,7 +126,7 @@ class HyParService:
         cache_size: int = DEFAULT_CACHE_SIZE,
         engine: SweepEngine | None = None,
         fault_injector=None,
-        default_cost_model: str = ANALYTIC_SPEC,
+        default_cost_model: str = PlanConfig.cost_model,
     ) -> None:
         # Canonicalize (and reject unknown packs) at startup, not per
         # request; raises the same SchemaError a bad request field would.
@@ -265,7 +268,7 @@ class HyParService:
             "/replan": ReplanRequest.from_payload,
         }
         if (
-            self.default_cost_model != ANALYTIC_SPEC
+            self.default_cost_model != PlanConfig.cost_model
             and path in ("/partition", "/simulate", "/replan")
             and isinstance(payload, Mapping)
             and "cost_model" not in payload
@@ -286,18 +289,7 @@ class HyParService:
     def _partition_body(self, request: PartitionRequest) -> bytes:
         # The /simulate runtime of the same configuration: one simulator,
         # and the partitioner it derives, per platform.
-        simulator = _simulator_for(
-            SweepPoint(
-                index=0,
-                model=request.model,
-                batch_size=request.batch_size,
-                num_accelerators=request.num_accelerators,
-                topology="htree",
-                scaling_mode=request.scaling_mode,
-                strategies=request.strategies,
-                cost_model=request.cost_model,
-            )
-        )
+        simulator = request.plan().simulator()
         model = _model_for(request.model)
         table = simulator.cost_table(model, request.batch_size)
         result = simulator.partitioner.partition(model, request.batch_size, table=table)
@@ -328,16 +320,7 @@ class HyParService:
         }
 
     def _simulate_body(self, request: SimulateRequest) -> bytes:
-        point = SweepPoint.single(
-            model=request.model,
-            batch_size=request.batch_size,
-            num_accelerators=request.num_accelerators,
-            topology=request.topology,
-            scaling_mode=request.scaling_mode,
-            strategies=request.strategies,
-            cost_model=request.cost_model,
-            sim_engine=request.sim_engine,
-        )
+        point = request.to_point()
         record = evaluate_point(point)
         return _render(
             {
@@ -354,8 +337,9 @@ class HyParService:
 
     def _replan_body(self, request: ReplanRequest) -> bytes:
         report = run_replan(request.to_trace(), request.to_config())
-        # Byte-for-byte the `replan.json` artifact `hypar replan` writes
-        # for the same canonical trace and configuration.
+        # The `replan.json` artifact `hypar replan` writes for the same
+        # trace and configuration, except that the canonical trace carries
+        # no provenance: `trace.preset` and `trace.seed` are null.
         return payload_to_json(report.to_payload()).encode()
 
     # ------------------------------------------------------------------
@@ -434,7 +418,7 @@ class HyParService:
             },
             # Simulation engines a request's "sim_engine" field may name.
             "sim_engines": {
-                "default": DEFAULT_SIM_ENGINE,
+                "default": PlanConfig.sim_engine,
                 "valid": list(SIM_ENGINES),
             },
             "requests": {

@@ -2,9 +2,13 @@
 
 Every POST endpoint validates its JSON body against a small frozen
 dataclass here.  Validation is strict (unknown fields are rejected with a
-message naming the known ones) and canonicalizing: model names resolve to
-their canonical zoo spelling, scaling modes and strategy spaces to their
-canonical short forms, and missing fields fill with the paper's defaults.
+message naming the known ones, mistyped values with one naming the field)
+and canonicalizing: model names resolve to their canonical zoo spelling,
+and the platform fields take the defaults and canonical spellings of
+:class:`~repro.sweep.spec.PlanConfig`, the one owner every other surface
+shares.  On top of that each schema keeps its own rules: ``/partition``
+searches at least two accelerators, cost models name shipped packs only,
+and ``backend`` takes one value.
 Two payloads describing the same work -- fields reordered, aliases used,
 defaults spelled out or omitted -- therefore canonicalize to *equal*
 requests and hash to the same cache key.
@@ -16,29 +20,33 @@ restarts.
 
 A warm request spends most of its in-process time here, so the flat
 schemas (``/partition``, ``/simulate``) build their canonical payload
-from their fields directly, scaling modes and strategy spaces are
-canonicalized through bounded memos, and model names resolve through a
-lookup table memoized on the zoo's current names.
+from their fields directly, each platform field is canonicalized once,
+through ``PlanConfig``'s bounded spelling memos, and model names resolve
+through a lookup table memoized on the zoo's current names.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model, shipped_profiles
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import StrategySpace
-from repro.core.tensors import ScalingMode
+from repro.core.costmodel import ANALYTIC_SPEC, shipped_profiles
 from repro.nn.model_zoo import canonical_model_name
-from repro.sim.backend import DEFAULT_SIM_ENGINE, validate_sim_engine
-from repro.sweep.spec import PRESETS, TOPOLOGY_NAMES, SweepSpec
+from repro.sweep.spec import (
+    AXES,
+    PLAN_FIELDS,
+    PRESETS,
+    PlanConfig,
+    SweepPoint,
+    SweepSpec,
+    canonicalize_plan,
+    memoized,
+)
 
-#: Default array size (the paper's sixteen-accelerator platform).
-DEFAULT_NUM_ACCELERATORS = 16
+if TYPE_CHECKING:
+    from repro.resilience.replan import ReplanConfig
 
 
 class SchemaError(ValueError):
@@ -70,13 +78,6 @@ def _int_field(payload: Mapping, name: str, default: int) -> int:
     return value
 
 
-def _str_field(payload: Mapping, name: str, default: str) -> str:
-    value = payload.get(name, default)
-    if not isinstance(value, str):
-        raise SchemaError(f"field {name!r} must be a string, got {value!r}")
-    return value
-
-
 def _canonical_model(payload: Mapping) -> str:
     if "model" not in payload:
         raise SchemaError("field 'model' is required (e.g. \"VGG-A\")")
@@ -89,61 +90,39 @@ def _canonical_model(payload: Mapping) -> str:
         raise SchemaError(str(error.args[0])) from None
 
 
-def _canonical_batch(payload: Mapping) -> int:
-    batch = _int_field(payload, "batch_size", DEFAULT_BATCH_SIZE)
-    if batch <= 0:
-        raise SchemaError(f"field 'batch_size' must be positive, got {batch}")
-    return batch
+#: The JSON type of each field a schema hands to its configuration as
+#: sent (``_reject_unknown`` has already refused the fields it lacks).
+_FIELD_TYPES = {
+    "batch_size": int,
+    "num_accelerators": int,
+    "topology": str,
+    "scaling_mode": str,
+    "strategies": str,
+    "cost_model": str,
+    "sim_engine": str,
+    "policy": str,
+    "horizon_steps": int,
+}
 
 
-def _canonical_accelerators(payload: Mapping, minimum: int) -> int:
-    count = _int_field(payload, "num_accelerators", DEFAULT_NUM_ACCELERATORS)
-    if count < minimum or count & (count - 1):
-        raise SchemaError(
-            f"field 'num_accelerators' must be a power of two >= {minimum}, "
-            f"got {count}"
-        )
-    return count
-
-
-def _memoized(canonicalize):
-    """``canonicalize`` behind a memo of the spellings clients send.
-
-    The memo is bounded in both directions: at most 256 spellings, and
-    only those of at most 64 characters (longer, padded ones are parsed
-    afresh).  A spelling that raises is never memoized.
-    """
-    memo = functools.lru_cache(maxsize=256)(canonicalize)
-
-    @functools.wraps(canonicalize)
-    def canonical(text: str) -> str:
-        return memo(text) if len(text) <= 64 else canonicalize(text)
-
-    return canonical
-
-
-@_memoized
-def _scaling_value(text: str) -> str:
-    return ScalingMode.parse(text).value
-
-
-@_memoized
-def _space_value(text: str) -> str:
-    return StrategySpace.parse(text).describe()
-
-
-def _canonical_scaling(payload: Mapping) -> str:
-    text = _str_field(payload, "scaling_mode", ScalingMode.PARALLELISM_AWARE.value)
+def _construct(cls, payload: Mapping, **fields):
+    """``cls`` from ``fields`` plus the configuration fields ``payload``
+    sets, each of its JSON type; a value ``cls`` rejects is a SchemaError."""
+    for name, value in payload.items():
+        kind = _FIELD_TYPES.get(name)
+        if kind is None:
+            continue
+        # bool is an int subclass; "batch_size": true must not pass as 1.
+        if type(value) is not kind and (
+            isinstance(value, bool) or not isinstance(value, kind)
+        ):
+            article = "an integer" if kind is int else "a string"
+            raise SchemaError(f"field {name!r} must be {article}, got {value!r}")
+        fields[name] = value
+    if "cost_model" in fields:
+        fields["cost_model"] = _canonical_cost_model_spec(fields["cost_model"])
     try:
-        return _scaling_value(text)
-    except ValueError as error:
-        raise SchemaError(str(error)) from None
-
-
-def _canonical_strategies(payload: Mapping) -> str:
-    text = _str_field(payload, "strategies", "dp,mp")
-    try:
-        return _space_value(text)
+        return cls(**fields)
     except ValueError as error:
         raise SchemaError(str(error)) from None
 
@@ -152,15 +131,15 @@ def _canonical_backend(payload: Mapping) -> str:
     # The search has one implementation.  The field stays, with its one
     # value, because every /partition response echoes the canonical
     # payload and every /partition cache key hashes it.
-    text = _str_field(payload, "backend", "numpy")
-    if text != "numpy":
-        raise SchemaError(f"field 'backend' must be 'numpy', got {text!r}")
-    return text
+    value = payload.get("backend", "numpy")
+    if value != "numpy":
+        raise SchemaError(f"field 'backend' must be 'numpy', got {value!r}")
+    return value
 
 
 # Shipped packs do not change while the process runs, so the listing of
 # the profile directory is read once per spelling, not once per request.
-@_memoized
+@memoized
 def _canonical_cost_model_spec(text: str) -> str:
     """Canonicalize one cost-model spec string, shipped packs only.
 
@@ -169,7 +148,7 @@ def _canonical_cost_model_spec(text: str) -> str:
     the service may not).
     """
     try:
-        spec = canonical_cost_model(text)
+        spec = PlanConfig.canonical("cost_model", text)
     except ValueError as error:
         raise SchemaError(str(error)) from None
     if spec != ANALYTIC_SPEC:
@@ -181,29 +160,6 @@ def _canonical_cost_model_spec(text: str) -> str:
                 f"{', '.join(sorted(shipped))}"
             )
     return spec
-
-
-def _canonical_cost_model(payload: Mapping) -> str:
-    return _canonical_cost_model_spec(
-        _str_field(payload, "cost_model", ANALYTIC_SPEC)
-    )
-
-
-def _canonical_sim_engine(payload: Mapping) -> str:
-    text = _str_field(payload, "sim_engine", DEFAULT_SIM_ENGINE)
-    try:
-        return validate_sim_engine(text.strip().lower())
-    except ValueError as error:
-        raise SchemaError(str(error)) from None
-
-
-def _canonical_topology(payload: Mapping) -> str:
-    name = _str_field(payload, "topology", "htree").strip().lower()
-    if name not in TOPOLOGY_NAMES:
-        raise SchemaError(
-            f"unknown topology {name!r}; known: {', '.join(TOPOLOGY_NAMES)}"
-        )
-    return name
 
 
 class ServiceRequest:
@@ -239,8 +195,8 @@ class ServiceRequest:
 
 
 class _FlatRequest(ServiceRequest):
-    """A schema whose fields are all ``str`` or ``int``, listed in
-    ``_FIELDS`` in declaration order.
+    """A ``/partition`` or ``/simulate`` schema: its fields are all
+    ``str`` or ``int``, listed in ``_FIELDS`` in declaration order.
 
     Its canonical payload is a flat copy of the fields: the dict
     ``dataclasses.asdict`` returns, without its deep-copy walk.
@@ -249,18 +205,32 @@ class _FlatRequest(ServiceRequest):
     def canonical_payload(self) -> dict:
         return {name: getattr(self, name) for name in self._FIELDS}
 
+    def coalesce_key(self) -> tuple:
+        # One compiled table per configuration: topology and engine change
+        # the simulated schedule, not the table, so they are left out.
+        return (
+            "table",
+            self.model,
+            self.batch_size,
+            self.num_accelerators,
+            self.scaling_mode,
+            self.strategies,
+            self.cost_model,
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class PartitionRequest(_FlatRequest):
-    """``POST /partition``: search HyPar's assignment for one network."""
+    """``POST /partition``: search HyPar's assignment for one network
+    (five of the platform's fields; see :meth:`plan`)."""
 
     model: str
-    batch_size: int = DEFAULT_BATCH_SIZE
-    num_accelerators: int = DEFAULT_NUM_ACCELERATORS
-    scaling_mode: str = ScalingMode.PARALLELISM_AWARE.value
-    strategies: str = "dp,mp"
+    batch_size: int = PlanConfig.batch_size
+    num_accelerators: int = PlanConfig.num_accelerators
+    scaling_mode: str = PlanConfig.scaling_mode
+    strategies: str = PlanConfig.strategies
     backend: str = "numpy"
-    cost_model: str = ANALYTIC_SPEC
+    cost_model: str = PlanConfig.cost_model
 
     kind = "partition"
     _FIELDS = (
@@ -272,97 +242,70 @@ class PartitionRequest(_FlatRequest):
         "backend",
         "cost_model",
     )
+    _PLAN_FIELDS = (
+        "batch_size",
+        "num_accelerators",
+        "scaling_mode",
+        "strategies",
+        "cost_model",
+    )
 
-    def coalesce_key(self) -> tuple:
-        # Shared with /simulate: same table-relevant configuration.
-        return (
-            "table",
-            self.model,
-            self.batch_size,
-            self.num_accelerators,
-            self.scaling_mode,
-            self.strategies,
-            self.cost_model,
-        )
+    def __post_init__(self) -> None:
+        canonicalize_plan(self, self._PLAN_FIELDS)
+
+    def plan(self) -> PlanConfig:
+        """The platform this request searches."""
+        return PlanConfig(**{name: getattr(self, name) for name in self._PLAN_FIELDS})
 
     @classmethod
     def from_payload(cls, payload) -> "PartitionRequest":
         payload = _require_mapping(payload, "a /partition request")
         _reject_unknown(payload, cls._FIELDS, "/partition")
-        return cls(
+        request = _construct(
+            cls,
+            payload,
             model=_canonical_model(payload),
-            batch_size=_canonical_batch(payload),
-            num_accelerators=_canonical_accelerators(payload, minimum=2),
-            scaling_mode=_canonical_scaling(payload),
-            strategies=_canonical_strategies(payload),
             backend=_canonical_backend(payload),
-            cost_model=_canonical_cost_model(payload),
         )
+        if request.num_accelerators < 2:
+            # A single accelerator has no pair to split work across.
+            raise SchemaError(
+                "num_accelerators must be a power of two >= 2, "
+                f"got {request.num_accelerators}"
+            )
+        return request
 
 
 @dataclasses.dataclass(frozen=True)
-class SimulateRequest(_FlatRequest):
-    """``POST /simulate``: search + simulate one grid point (MP/DP/HyPar)."""
+class SimulateRequest(PlanConfig, _FlatRequest):
+    """``POST /simulate``: search + simulate one grid point (MP/DP/HyPar):
+    a platform (one accelerator allowed) plus a model."""
 
-    model: str
-    batch_size: int = DEFAULT_BATCH_SIZE
-    num_accelerators: int = DEFAULT_NUM_ACCELERATORS
-    topology: str = "htree"
-    scaling_mode: str = ScalingMode.PARALLELISM_AWARE.value
-    strategies: str = "dp,mp"
-    cost_model: str = ANALYTIC_SPEC
-    sim_engine: str = DEFAULT_SIM_ENGINE
+    model: str = dataclasses.field(kw_only=True)
 
     kind = "simulate"
-    _FIELDS = (
-        "model",
-        "batch_size",
-        "num_accelerators",
-        "topology",
-        "scaling_mode",
-        "strategies",
-        "cost_model",
-        "sim_engine",
-    )
+    _FIELDS = ("model", *PLAN_FIELDS)
 
     def canonical_payload(self) -> dict:
         # The canonical "analytic" default is *omitted* so every request
         # hash minted before the field existed stays valid; only network
         # requests carry (and hash) the engine.
         payload = super().canonical_payload()
-        if payload["sim_engine"] == DEFAULT_SIM_ENGINE:
+        if payload["sim_engine"] == PlanConfig.sim_engine:
             del payload["sim_engine"]
         return payload
 
-    def coalesce_key(self) -> tuple:
-        # Topology affects the simulated schedule but not the compiled
-        # table, so it is deliberately absent: a /partition and /simulate
-        # pair (or two /simulate topologies) serialize their compile.
-        return (
-            "table",
-            self.model,
-            self.batch_size,
-            self.num_accelerators,
-            self.scaling_mode,
-            self.strategies,
-            self.cost_model,
+    def to_point(self) -> SweepPoint:
+        """The grid point (index 0) this request evaluates."""
+        return SweepPoint(
+            model=self.model, **{name: getattr(self, name) for name in PLAN_FIELDS}
         )
 
     @classmethod
     def from_payload(cls, payload) -> "SimulateRequest":
         payload = _require_mapping(payload, "a /simulate request")
         _reject_unknown(payload, cls._FIELDS, "/simulate")
-        return cls(
-            model=_canonical_model(payload),
-            batch_size=_canonical_batch(payload),
-            # 1 is allowed: the single-accelerator baseline point.
-            num_accelerators=_canonical_accelerators(payload, minimum=1),
-            topology=_canonical_topology(payload),
-            scaling_mode=_canonical_scaling(payload),
-            strategies=_canonical_strategies(payload),
-            cost_model=_canonical_cost_model(payload),
-            sim_engine=_canonical_sim_engine(payload),
-        )
+        return _construct(cls, payload, model=_canonical_model(payload))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -428,17 +371,10 @@ class ReplanRequest(ServiceRequest):
     deterministic response bytes.
     """
 
-    model: str
+    config: ReplanConfig
     trace: tuple
     num_nodes: int
     horizon: float | None
-    batch_size: int = DEFAULT_BATCH_SIZE
-    policy: str = "every-event"
-    topology: str = "htree"
-    scaling_mode: str = ScalingMode.PARALLELISM_AWARE.value
-    strategies: str = "dp,mp"
-    horizon_steps: int = 500
-    cost_model: str = ANALYTIC_SPEC
 
     kind = "replan"
     _FIELDS = (
@@ -458,9 +394,21 @@ class ReplanRequest(ServiceRequest):
         "cost_model",
     )
 
+    def canonical_payload(self) -> dict:
+        # The model, the trace, then the rest of the configuration: the
+        # key order every /replan cache key was minted with.
+        config = dataclasses.asdict(self.config)
+        return {
+            "model": config.pop("model"),
+            "trace": self.trace,
+            "num_nodes": self.num_nodes,
+            "horizon": self.horizon,
+            **config,
+        }
+
     @classmethod
     def from_payload(cls, payload) -> "ReplanRequest":
-        from repro.resilience.replan import POLICIES
+        from repro.resilience.replan import ReplanConfig
         from repro.resilience.traces import (
             PRESET_NAMES,
             AvailabilityTrace,
@@ -486,28 +434,16 @@ class ReplanRequest(ServiceRequest):
                         "drop it when providing 'trace' inline"
                     )
 
-        num_nodes = _int_field(payload, "num_nodes", DEFAULT_NUM_ACCELERATORS)
+        config = _construct(ReplanConfig, payload, model=_canonical_model(payload))
+        # The fleet defaults to the platform's array size.
+        num_nodes = _int_field(payload, "num_nodes", PlanConfig.num_accelerators)
         if num_nodes < 2:
             raise SchemaError(
                 f"field 'num_nodes' must be >= 2, got {num_nodes}"
             )
-        policy = _str_field(payload, "policy", "every-event")
-        if policy not in POLICIES:
-            raise SchemaError(
-                f"unknown policy {policy!r}; known: {', '.join(POLICIES)}"
-            )
-        horizon_steps = _int_field(payload, "horizon_steps", 500)
-        if horizon_steps <= 0:
-            raise SchemaError(
-                f"field 'horizon_steps' must be positive, got {horizon_steps}"
-            )
         horizon = payload.get("horizon")
-        if horizon is not None:
-            if isinstance(horizon, bool) or not isinstance(horizon, (int, float)):
-                raise SchemaError(
-                    f"field 'horizon' must be a number, got {horizon!r}"
-                )
-            horizon = float(horizon)
+        if isinstance(horizon, bool) or not isinstance(horizon, (int, float, type(None))):
+            raise SchemaError(f"field 'horizon' must be a number, got {horizon!r}")
 
         if has_preset:
             preset = payload["preset"]
@@ -543,20 +479,13 @@ class ReplanRequest(ServiceRequest):
                 raise SchemaError(str(error)) from None
 
         return cls(
-            model=_canonical_model(payload),
+            config=config,
             trace=tuple(
                 (event.t, event.event, tuple(event.nodes))
                 for event in trace.events
             ),
             num_nodes=num_nodes,
             horizon=trace.horizon,
-            batch_size=_canonical_batch(payload),
-            policy=policy,
-            topology=_canonical_topology(payload),
-            scaling_mode=_canonical_scaling(payload),
-            strategies=_canonical_strategies(payload),
-            horizon_steps=horizon_steps,
-            cost_model=_canonical_cost_model(payload),
         )
 
     def to_trace(self):
@@ -573,19 +502,8 @@ class ReplanRequest(ServiceRequest):
         )
 
     def to_config(self):
-        """The matching :class:`~repro.resilience.replan.ReplanConfig`."""
-        from repro.resilience.replan import ReplanConfig
-
-        return ReplanConfig(
-            model=self.model,
-            batch_size=self.batch_size,
-            policy=self.policy,
-            topology=self.topology,
-            scaling_mode=self.scaling_mode,
-            strategies=self.strategies,
-            horizon_steps=self.horizon_steps,
-            cost_model=self.cost_model,
-        )
+        """The :class:`~repro.resilience.replan.ReplanConfig` to replay under."""
+        return self.config
 
 
 def _canonical_spec(spec: SweepSpec) -> SweepSpec:
@@ -599,12 +517,9 @@ def _canonical_spec(spec: SweepSpec) -> SweepSpec:
         models = tuple(canonical_model_name(name) for name in spec.models)
     except KeyError as error:
         raise SchemaError(str(error.args[0])) from None
-    return dataclasses.replace(
-        spec,
-        models=models,
-        scaling_modes=tuple(_scaling_value(mode) for mode in spec.scaling_modes),
-        strategy_spaces=tuple(_space_value(space) for space in spec.strategy_spaces),
-        cost_models=tuple(
-            _canonical_cost_model_spec(model) for model in spec.cost_models
-        ),
-    )
+    axes = {
+        axis: tuple(PlanConfig.canonical(field, value) for value in getattr(spec, axis))
+        for axis, field in AXES[1:]
+    }
+    axes["cost_models"] = tuple(map(_canonical_cost_model_spec, spec.cost_models))
+    return dataclasses.replace(spec, models=models, **axes)

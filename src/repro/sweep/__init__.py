@@ -7,6 +7,8 @@ search-plus-simulate jobs.  This package factors the machinery every
 * :class:`~repro.sweep.engine.SweepEngine` -- deterministic, chunked
   mapping of task functions over task lists, in-process by default and
   process-parallel on request, with byte-identical results either way;
+* :class:`~repro.sweep.spec.PlanConfig` -- the platform one point runs
+  on, with every field's default and canonical spelling;
 * :class:`~repro.sweep.spec.SweepSpec` / presets -- declarative grid
   descriptions (models x strategy spaces x topologies x scaling modes x
   batch sizes x array sizes) runnable as ``hypar sweep <spec.json|preset>``;
@@ -31,6 +33,7 @@ _EXPORTS = {
     "MODEL_PARALLELISM": "runner",
     "PAPER_MODELS": "spec",
     "PRESETS": "spec",
+    "PlanConfig": "spec",
     "StrategyMetrics": "runner",
     "SweepEngine": "engine",
     "SweepPoint": "spec",

@@ -57,7 +57,7 @@ def write_csv(
     path: str, rows: Sequence[Mapping], columns: Sequence[str] | None = None
 ) -> None:
     """Write rows to ``path`` as CSV (creating parent directories)."""
-    _ensure_parent(path)
+    ensure_parent(path)
     with open(path, "w", newline="") as handle:
         handle.write(rows_to_csv(rows, columns))
 
@@ -69,12 +69,13 @@ def payload_to_json(payload) -> str:
 
 def write_json(path: str, payload) -> None:
     """Write a payload to ``path`` as pretty-printed, key-sorted JSON."""
-    _ensure_parent(path)
+    ensure_parent(path)
     with open(path, "w") as handle:
         handle.write(payload_to_json(payload))
 
 
-def _ensure_parent(path: str) -> None:
+def ensure_parent(path: str) -> None:
+    """Create the directory ``path`` will be written into, if missing."""
     parent = os.path.dirname(os.path.abspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)

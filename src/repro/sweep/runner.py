@@ -17,31 +17,17 @@ from __future__ import annotations
 import dataclasses
 from typing import Mapping, Sequence
 
-from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism, model_parallelism
-from repro.core.costmodel import resolve_cost_model
 from repro.nn.model_zoo import get_model
 from repro.sweep import artifacts
-from repro.sweep.cache import cached_simulator, runtime_cached
+from repro.sweep.cache import runtime_cached
 from repro.sweep.engine import SweepEngine, owned_engine
 from repro.sweep.spec import SweepPoint, SweepSpec
-from repro.sim.training import TrainingSimulator
 
 #: Strategy names as the paper's figures label them.
 MODEL_PARALLELISM = "Model Parallelism"
 DATA_PARALLELISM = "Data Parallelism"
 HYPAR = "HyPar"
-
-
-def _simulator_for(point: SweepPoint) -> TrainingSimulator:
-    return cached_simulator(
-        ArrayConfig(num_accelerators=point.num_accelerators),
-        point.topology,
-        scaling_mode=point.scaling_mode,
-        strategies=point.strategies,
-        communication_model=resolve_cost_model(point.cost_model).communication_model(),
-        sim_engine=point.sim_engine,
-    )
 
 
 def _model_for(name: str):
@@ -108,7 +94,7 @@ class SweepRecord:
 
 def evaluate_point(point: SweepPoint) -> SweepRecord:
     """Search + simulate one grid point (the engine's task function)."""
-    simulator = _simulator_for(point)
+    simulator = point.simulator()
     model = _model_for(point.model)
 
     if point.num_accelerators == 1:

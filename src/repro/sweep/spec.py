@@ -1,4 +1,8 @@
-"""Declarative description of a figure-style sweep grid.
+"""The platform every name-level surface shares, and the sweep grid.
+
+:class:`PlanConfig` owns each platform field's default and the one
+canonicalizer of its spellings; the service schemas, the sweep grid, the
+replanner and the CLI take theirs from it.
 
 A :class:`SweepSpec` names the axes of the paper's evaluation grid --
 models x strategy spaces x topologies x scaling modes x batch sizes x
@@ -12,11 +16,14 @@ grids (``hypar sweep fig6``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
-import json
-from typing import Mapping
+import math
+import threading
+from typing import Callable, Mapping
 
-from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model
+from repro.accelerator.array import DEFAULT_NUM_ACCELERATORS, ArrayConfig
+from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model, resolve_cost_model
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import StrategySpace
 from repro.core.tensors import ScalingMode
@@ -41,19 +48,154 @@ PAPER_MODELS = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepPoint:
-    """One configuration of the grid: a single search-plus-simulate job."""
+def memoized(canonicalize):
+    """``canonicalize`` behind a memo of the spellings clients send.
 
-    index: int
-    model: str
-    batch_size: int
-    num_accelerators: int
-    topology: str
-    scaling_mode: str
-    strategies: str
+    The memo (the wrapper's ``memo`` attribute) is bounded in both
+    directions: at most 256 spellings (it empties when full), and only
+    strings of at most 64 characters (longer, padded ones and non-string
+    values are canonicalized afresh).  A spelling that raises is never
+    memoized.
+    """
+    memo: dict[str, object] = {}
+    # Service threads share the memo; only a miss takes the lock.
+    lock = threading.Lock()
+
+    @functools.wraps(canonicalize)
+    def canonical(value):
+        try:
+            return memo[value]
+        except (KeyError, TypeError):  # not memoized, or not hashable
+            pass
+        result = canonicalize(value)
+        if isinstance(value, str) and len(value) <= 64:
+            with lock:
+                if len(memo) >= 256:
+                    memo.clear()
+                memo[value] = result
+        return result
+
+    canonical.memo = memo
+    return canonical
+
+
+def _batch_size(batch: int) -> int:
+    if batch <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch}")
+    return batch
+
+
+def _num_accelerators(count: int) -> int:
+    if count <= 0:
+        raise ValueError(f"num_accelerators must be positive, got {count}")
+    if count & (count - 1):
+        raise ValueError(f"num_accelerators must be a power of two, got {count}")
+    return count
+
+
+@memoized
+def _topology(name: str) -> str:
+    canonical = name.strip().lower()
+    if canonical not in TOPOLOGY_NAMES:
+        raise ValueError(
+            f"unknown topology {name!r}; known: {', '.join(TOPOLOGY_NAMES)}"
+        )
+    return canonical
+
+
+@memoized
+def _scaling_mode(mode: ScalingMode | str) -> str:
+    return ScalingMode.parse(mode).value
+
+
+@memoized
+def _strategies(space: StrategySpace | str | None) -> str:
+    return StrategySpace.parse(space).describe()
+
+
+@memoized
+def _sim_engine(name: str | None) -> str:
+    return validate_sim_engine(None if name is None else name.strip().lower())
+
+
+#: Each platform field's one canonicalizer, in :class:`PlanConfig` order.
+_CANONICAL: dict[str, Callable] = {
+    "batch_size": _batch_size,
+    "num_accelerators": _num_accelerators,
+    "topology": _topology,
+    "scaling_mode": _scaling_mode,
+    "strategies": _strategies,
+    "cost_model": memoized(canonical_cost_model),
+    "sim_engine": _sim_engine,
+}
+
+#: The platform fields, in the order sweep rows and payloads list them.
+PLAN_FIELDS = tuple(_CANONICAL)
+
+
+def canonicalize_plan(config, fields: tuple[str, ...] = PLAN_FIELDS) -> None:
+    """Canonicalize the platform ``fields`` of the frozen ``config`` in place
+    (a field still holding its default is canonical); ``ValueError`` names
+    the bad field."""
+    for name in fields:
+        value = getattr(config, name)
+        default, canonicalize = _RULES[name]
+        if value is not default:
+            canonical = canonicalize(value)
+            if canonical != value:
+                object.__setattr__(config, name, canonical)
+
+
+@dataclasses.dataclass(frozen=True)
+class PlanConfig:
+    """The platform one plan is searched and simulated on: ``2**H``
+    accelerators on one interconnect at one batch size, with one strategy
+    space, scaling rule, cost model and engine.  Construction stores the
+    canonical spelling of each field; ``ValueError`` rejects the rest."""
+
+    batch_size: int = DEFAULT_BATCH_SIZE
+    num_accelerators: int = DEFAULT_NUM_ACCELERATORS
+    topology: str = "htree"
+    scaling_mode: str = ScalingMode.PARALLELISM_AWARE.value
+    strategies: str = "dp,mp"
     cost_model: str = ANALYTIC_SPEC
     sim_engine: str = DEFAULT_SIM_ENGINE
+
+    def __post_init__(self) -> None:
+        canonicalize_plan(self)
+
+    @staticmethod
+    def canonical(field: str, value):
+        """``value`` in the canonical spelling of platform ``field``."""
+        return _CANONICAL[field](value)
+
+    def simulator(self):
+        """The process's one :class:`~repro.sim.training.TrainingSimulator`
+        for this platform (see :func:`repro.sweep.cache.cached_simulator`)."""
+        from repro.sweep.cache import cached_simulator
+
+        return cached_simulator(
+            ArrayConfig(num_accelerators=self.num_accelerators),
+            self.topology,
+            scaling_mode=self.scaling_mode,
+            strategies=self.strategies,
+            communication_model=resolve_cost_model(self.cost_model).communication_model(),
+            sim_engine=self.sim_engine,
+        )
+
+
+#: Each platform field's default (the object construction fills in) and
+#: its canonicalizer.
+_RULES = {name: (getattr(PlanConfig, name), _CANONICAL[name]) for name in PLAN_FIELDS}
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepPoint(PlanConfig):
+    """One configuration of the grid: a platform plus a model, one
+    search-plus-simulate job."""
+
+    model: str = dataclasses.field(kw_only=True)
+    index: int = dataclasses.field(default=0, kw_only=True)
 
     def label(self) -> str:
         """Compact human-readable point id used in logs and artifacts."""
@@ -70,37 +212,24 @@ class SweepPoint:
         return base
 
     @classmethod
-    def single(
-        cls,
-        model: str,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        num_accelerators: int = 16,
-        topology: str = "htree",
-        scaling_mode: "ScalingMode | str" = ScalingMode.PARALLELISM_AWARE,
-        strategies: "StrategySpace | str | None" = None,
-        cost_model: str = ANALYTIC_SPEC,
-        sim_engine: str = DEFAULT_SIM_ENGINE,
-    ) -> "SweepPoint":
-        """One standalone, fully validated and canonicalized grid point.
+    def single(cls, model: str, **plan) -> "SweepPoint":
+        """One standalone grid point (index 0) for ``model`` on the
+        :class:`PlanConfig` fields ``plan``."""
+        return cls(model=model, **plan)
 
-        The reusable entry for callers that want exactly one
-        search-plus-simulate job -- the service's ``/simulate`` endpoint,
-        scripts -- with the same axis validation and canonical spellings a
-        one-point :class:`SweepSpec` would produce (``ValueError`` on bad
-        axes, like the spec).
-        """
-        spec = SweepSpec(
-            name="point",
-            models=(model,),
-            batch_sizes=(batch_size,),
-            array_sizes=(num_accelerators,),
-            topologies=(topology,),
-            scaling_modes=(ScalingMode.parse(scaling_mode).value,),
-            strategy_spaces=(StrategySpace.parse(strategies).describe(),),
-            cost_models=(canonical_cost_model(cost_model),),
-            sim_engines=(validate_sim_engine(sim_engine),),
-        )
-        return spec.points()[0]
+
+#: Each grid axis and the platform field its values set (``models`` sets
+#: none), in expansion order: models outermost, engines innermost.
+AXES = (
+    ("models", None),
+    ("batch_sizes", "batch_size"),
+    ("array_sizes", "num_accelerators"),
+    ("topologies", "topology"),
+    ("scaling_modes", "scaling_mode"),
+    ("strategy_spaces", "strategies"),
+    ("cost_models", "cost_model"),
+    ("sim_engines", "sim_engine"),
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -109,63 +238,37 @@ class SweepSpec:
 
     ``array_sizes`` entries must be powers of two; size ``1`` is allowed
     and simulates the single-accelerator baseline (no topology, no
-    assignment), as in the scalability study.
+    assignment), as in the scalability study.  Every axis value is checked
+    with :class:`PlanConfig`'s canonicalizers.  The spec keeps the
+    caller's spellings (its points are canonical), except on the
+    cost-model and engine axes, which it stores canonical.
     """
 
     name: str
     models: tuple[str, ...]
-    batch_sizes: tuple[int, ...] = (DEFAULT_BATCH_SIZE,)
-    array_sizes: tuple[int, ...] = (16,)
-    topologies: tuple[str, ...] = ("htree",)
-    scaling_modes: tuple[str, ...] = (ScalingMode.PARALLELISM_AWARE.value,)
-    strategy_spaces: tuple[str, ...] = ("dp,mp",)
-    cost_models: tuple[str, ...] = (ANALYTIC_SPEC,)
-    sim_engines: tuple[str, ...] = (DEFAULT_SIM_ENGINE,)
+    batch_sizes: tuple[int, ...] = (PlanConfig.batch_size,)
+    array_sizes: tuple[int, ...] = (PlanConfig.num_accelerators,)
+    topologies: tuple[str, ...] = (PlanConfig.topology,)
+    scaling_modes: tuple[str, ...] = (PlanConfig.scaling_mode,)
+    strategy_spaces: tuple[str, ...] = (PlanConfig.strategies,)
+    cost_models: tuple[str, ...] = (PlanConfig.cost_model,)
+    sim_engines: tuple[str, ...] = (PlanConfig.sim_engine,)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a sweep spec needs a name")
-        for axis in (
-            "models",
-            "batch_sizes",
-            "array_sizes",
-            "topologies",
-            "scaling_modes",
-            "strategy_spaces",
-            "cost_models",
-            "sim_engines",
-        ):
-            values = getattr(self, axis)
-            object.__setattr__(self, axis, tuple(values))
-            if not getattr(self, axis):
+        for axis, field in AXES:
+            values = tuple(getattr(self, axis))
+            if not values:
                 raise ValueError(f"sweep axis {axis!r} must not be empty")
-        for batch in self.batch_sizes:
-            if batch <= 0:
-                raise ValueError(f"batch sizes must be positive, got {batch}")
-        for size in self.array_sizes:
-            if size < 1 or size & (size - 1):
-                raise ValueError(
-                    f"array sizes must be powers of two >= 1, got {size}"
-                )
-        for topology in self.topologies:
-            if topology not in TOPOLOGY_NAMES:
-                raise ValueError(
-                    f"unknown topology {topology!r}; known: {', '.join(TOPOLOGY_NAMES)}"
-                )
-        for mode in self.scaling_modes:
-            ScalingMode.parse(mode)  # raises on unknown modes
-        for space in self.strategy_spaces:
-            StrategySpace.parse(space)  # raises on unknown strategies
-        object.__setattr__(
-            self,
-            "cost_models",
-            tuple(canonical_cost_model(spec) for spec in self.cost_models),
-        )
-        object.__setattr__(
-            self,
-            "sim_engines",
-            tuple(validate_sim_engine(engine) for engine in self.sim_engines),
-        )
+            if field is not None:
+                try:
+                    canonical = tuple(_CANONICAL[field](value) for value in values)
+                except ValueError as error:
+                    raise ValueError(f"sweep axis {axis!r}: {error}") from None
+                if axis in ("cost_models", "sim_engines"):
+                    values = canonical
+            object.__setattr__(self, axis, values)
 
     # ------------------------------------------------------------------
     # Expansion.
@@ -173,51 +276,15 @@ class SweepSpec:
 
     @property
     def num_points(self) -> int:
-        return (
-            len(self.models)
-            * len(self.batch_sizes)
-            * len(self.array_sizes)
-            * len(self.topologies)
-            * len(self.scaling_modes)
-            * len(self.strategy_spaces)
-            * len(self.cost_models)
-            * len(self.sim_engines)
-        )
+        return math.prod(len(getattr(self, axis)) for axis, _ in AXES)
 
     def points(self) -> tuple[SweepPoint, ...]:
         """The grid in deterministic order (models outermost)."""
+        fields = tuple(field for _, field in AXES[1:])
         return tuple(
-            SweepPoint(
-                index=index,
-                model=model,
-                batch_size=batch_size,
-                num_accelerators=num_accelerators,
-                topology=topology,
-                scaling_mode=ScalingMode.parse(scaling_mode).value,
-                strategies=StrategySpace.parse(strategies).describe(),
-                cost_model=cost_model,
-                sim_engine=sim_engine,
-            )
-            for index, (
-                model,
-                batch_size,
-                num_accelerators,
-                topology,
-                scaling_mode,
-                strategies,
-                cost_model,
-                sim_engine,
-            ) in enumerate(
-                itertools.product(
-                    self.models,
-                    self.batch_sizes,
-                    self.array_sizes,
-                    self.topologies,
-                    self.scaling_modes,
-                    self.strategy_spaces,
-                    self.cost_models,
-                    self.sim_engines,
-                )
+            SweepPoint(index=index, model=model, **dict(zip(fields, plan)))
+            for index, (model, *plan) in enumerate(
+                itertools.product(*(getattr(self, axis) for axis, _ in AXES))
             )
         )
 
@@ -228,14 +295,7 @@ class SweepSpec:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "models": list(self.models),
-            "batch_sizes": list(self.batch_sizes),
-            "array_sizes": list(self.array_sizes),
-            "topologies": list(self.topologies),
-            "scaling_modes": list(self.scaling_modes),
-            "strategy_spaces": list(self.strategy_spaces),
-            "cost_models": list(self.cost_models),
-            "sim_engines": list(self.sim_engines),
+            **{axis: list(getattr(self, axis)) for axis, _ in AXES},
         }
 
     @classmethod
@@ -252,23 +312,14 @@ class SweepSpec:
         kwargs = {key: payload[key] for key in payload}
         if not isinstance(kwargs["name"], str):
             raise ValueError(f"sweep spec 'name' must be a string, got {kwargs['name']!r}")
-        for axis in (
-            "models",
-            "batch_sizes",
-            "array_sizes",
-            "topologies",
-            "scaling_modes",
-            "strategy_spaces",
-            "cost_models",
-            "sim_engines",
-        ):
+        for axis, field in AXES:
             if axis not in kwargs:
                 continue
             values = kwargs[axis]
             if not isinstance(values, list):
                 # tuple("VGG-A") would silently explode into letters.
                 raise ValueError(f"sweep spec axis {axis!r} must be a list, got {values!r}")
-            kind = int if axis in ("batch_sizes", "array_sizes") else str
+            kind = int if field in ("batch_size", "num_accelerators") else str
             for value in values:
                 # ``type`` rather than ``isinstance``: true is an int too.
                 if type(value) is not kind:
@@ -281,6 +332,8 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "SweepSpec":
+        import json  # every command imports this module; few read a spec file
+
         with open(path) as handle:
             return cls.from_json(json.load(handle))
 

@@ -12,6 +12,7 @@ import contextlib
 import http.client
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +245,25 @@ class TestReplanEndpoint:
         assert payload["trace"]["preset"] is None
         assert payload["trace"]["seed"] is None
         assert payload["config"]["policy"] == "every-event"
+
+    def test_response_is_the_cli_artifact_without_trace_provenance(self, service):
+        """The body of the churn scenario CI replays with ``hypar replan
+        --preset spot --seed 7 --events 8 --batch-size 64`` equals that
+        run's pinned ``replan.json`` except the trace's provenance: the
+        service drops ``preset`` and ``seed``, which the CLI writes."""
+        golden_path = Path(__file__).resolve().parents[1] / "resilience" / "golden_replan.json"
+        golden = golden_path.read_bytes()
+        status, body = _post(
+            service,
+            "/replan",
+            {**REPLAN_FIELDS, "num_events": 8},
+        )
+        assert status == 200
+        assert body != golden
+        cli = json.loads(golden)
+        assert (cli["trace"]["preset"], cli["trace"]["seed"]) == ("spot", 7)
+        cli["trace"].update(preset=None, seed=None)
+        assert body == payload_to_json(cli).encode()
 
     def test_preset_and_inline_trace_share_one_cache_entry(self, service):
         status, preset_body = _post(service, "/replan", REPLAN_FIELDS)

@@ -135,7 +135,7 @@ class TestSinglePoint:
     def test_single_rejects_bad_axes_like_a_spec(self):
         from repro.sweep.spec import SweepPoint
 
-        with pytest.raises(ValueError, match="powers of two"):
+        with pytest.raises(ValueError, match="num_accelerators must be a power of two"):
             SweepPoint.single("Lenet-c", num_accelerators=12)
         with pytest.raises(ValueError, match="unknown topology"):
             SweepPoint.single("Lenet-c", topology="mesh")

@@ -187,6 +187,14 @@ class TestBadInput:
                 ["serve", "--request-timeout", "-1"],
                 "argument --request-timeout: must be a positive number of seconds, got -1",
             ),
+            (
+                ["serve", "--port", "99999"],
+                "argument --port: must be a TCP port in 0-65535, got 99999",
+            ),
+            (
+                ["serve", "--port", "-5"],
+                "argument --port: must be a TCP port in 0-65535, got -5",
+            ),
         ]
         + [
             (
@@ -235,6 +243,8 @@ class TestBadInput:
             "serve-workers-0",
             "serve-cache-size-0",
             "serve-request-timeout-negative",
+            "serve-port-99999",
+            "serve-port-negative",
         ]
         + [
             f"{command}-cost-model-{kind}"
@@ -363,6 +373,36 @@ class TestSweepCommand:
         assert len(payload["rows"]) == 2
         assert (out_dir / "scalability.csv").read_text().startswith("num_accelerators,")
 
+    def test_given_flags_override_the_spec_axes_whatever_their_value(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        spec_path = tmp_path / "calibrated.json"
+        spec_path.write_text(
+            json.dumps(
+                {
+                    "name": "calibrated",
+                    "models": ["Lenet-c"],
+                    "batch_sizes": [64],
+                    "array_sizes": [4],
+                    "cost_models": ["profiled:fp16-precision"],
+                    "sim_engines": ["network"],
+                }
+            )
+        )
+        base = "Lenet-c/b64/n4/htree/parallelism-aware/dp,mp"
+        # Omitted flags keep the spec's axes.
+        assert main(["sweep", str(spec_path)]) == 0
+        kept = capsys.readouterr().out
+        assert f"{base}/profiled:fp16-precision/network " in kept
+        # Given flags override them, also with the default value.
+        flags = ["--cost-model", "analytic", "--sim-engine", "analytic"]
+        assert main(["sweep", str(spec_path), *flags]) == 0
+        overridden = capsys.readouterr().out
+        assert f"{base} " in overridden
+        assert "profiled" not in overridden and "/network" not in overridden
+
     def test_workers_flag_matches_serial_output(self, capsys):
         assert main(["sweep", "smoke"]) == 0
         serial_out = capsys.readouterr().out
@@ -481,6 +521,17 @@ class TestReplanCommand:
         assert replayed_out == synthesized_out.replace(
             f"trace: {trace_path}\n", ""
         )
+
+
+    def test_emit_trace_creates_its_directory(self, tmp_path, capsys):
+        from repro.resilience.traces import AvailabilityTrace
+
+        trace_path = tmp_path / "rp" / "t.jsonl"
+        argv = ["replan", "--events", "2", "--nodes", "4", "--batch-size", "64"]
+        assert main([*argv, "--emit-trace", str(trace_path)]) == 0
+        assert f"trace: {trace_path}" in capsys.readouterr().out
+        trace = AvailabilityTrace.load(str(trace_path))
+        assert (trace.num_nodes, len(trace.events)) == (4, 2)
 
 
 class TestServeParser:
