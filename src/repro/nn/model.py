@@ -29,6 +29,34 @@ from repro.nn.layers import LayerSpec, LayerType
 from repro.nn.shapes import FeatureMapShape, MergeOp, ShapeError, merge_shape
 
 
+def _hash_once(cls):
+    """Memoize the generated ``__hash__`` of a frozen dataclass.
+
+    The generated hash walks every field on every call -- a deep model's
+    layers with their specs and shapes -- and models key the table cache
+    and the simulator's pass lists.  The first ``hash()`` stores its value
+    on the instance.  Pickles and copies leave it out: string hashes differ
+    between processes, and sweep workers unpickle models.
+    """
+    generated = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = generated(self)
+        return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclasses.dataclass(frozen=True)
 class WeightedLayer:
     """One weighted layer with its shapes resolved.
@@ -120,6 +148,7 @@ class WeightedLayer:
         )
 
 
+@_hash_once
 @dataclasses.dataclass(frozen=True)
 class DNNModel:
     """A deep neural network described by its weighted layers.

@@ -640,7 +640,8 @@ def canonical_model_name(name: str) -> str:
 
     Accepts everything :func:`get_model` accepts (case and ``-``/``_``
     variants, aliases, depth-suffixed parameterized spellings such as
-    ``gpt_s-96``) and raises the same :class:`KeyError` for unknown names.
+    ``gpt_s-96``) and raises the same :class:`KeyError` for unknown names
+    -- and for a depth-0 spelling (``gpt_s-0``), which builds no model.
     The service layer canonicalizes request payloads with this so
     ``vgg_a`` and ``VGG-A`` hash to the same cache key (and ``gpts96`` /
     ``GPT_S-96`` to ``gpt_s-96``).
@@ -654,6 +655,12 @@ def canonical_model_name(name: str) -> str:
     # so digit-bearing aliases ("vgg16") and registered names keep winning.
     parameterized = _parse_depth_suffix(normalized)
     if parameterized is not None:
+        family, depth = _split_parameterized(parameterized)
+        if not depth:
+            raise KeyError(
+                f"model {name!r} has no blocks; a parameterized model takes "
+                f"a positive depth ({family}-<N>, N >= 1)"
+            )
         return parameterized
     known = ", ".join(builders)
     aliases = ", ".join(sorted(_ALIASES))

@@ -9,19 +9,25 @@ resources, tasks with dependencies, and an event queue that advances
 simulated time -- and :mod:`repro.sim.training` builds the training-step
 task graph on top of it.
 
-The event loop works on integer task ids (insertion positions) and flat
-lists.  Tasks that name the same dependency tuple share one countdown, so
-a fan-in of ``m`` tasks onto one tuple of ``k`` dependencies costs ``k``
-decrements instead of ``m * k``; each distinct tuple is validated once,
-when its first task is added.
+The graph is held in flat columns indexed by task id (insertion
+position): each task's duration, the ids of the resources it holds and
+its *label*.  Tasks that name the same tuple of dependency ids share one
+countdown, so a fan-in of ``m`` tasks onto one tuple of ``k`` dependencies
+costs ``k`` decrements instead of ``m * k``; each distinct tuple is
+validated once, when its first task is added.
+
+A label carries what only a reader of the schedule needs: it is a tuple
+whose first item is a function that maps the whole label to the task's
+name and tags.  The event loop never reads it, and :attr:`Schedule.tasks`
+describes the labels the first time it is read, so a builder that reads
+only the scheduled times -- the training-step report -- never formats a
+name or builds a tag dict.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
-from operator import attrgetter
 from typing import Dict, Iterable, List, NamedTuple
 
 
@@ -35,8 +41,7 @@ class Resource:
     ``available_at`` tracks the simulated time at which the resource becomes
     free; tasks claiming the resource execute back to back in the order the
     engine starts them.  A plain ``__slots__`` class (identity-hashed, like
-    the registry entries they are): simulations create one task graph per
-    sweep point, so attribute access and allocation are on the hot path.
+    the registry entries they are).
     """
 
     __slots__ = ("name", "available_at")
@@ -50,7 +55,7 @@ class Resource:
 
 
 class Task:
-    """One unit of simulated work.
+    """Handle of one task added by :meth:`EventDrivenEngine.add_task`.
 
     Attributes
     ----------
@@ -67,9 +72,11 @@ class Task:
         carried through to the schedule for reporting.
     start, end:
         The scheduled times, filled in by :meth:`EventDrivenEngine.run`.
+    id:
+        The task's id in its engine (its insertion position).
     """
 
-    __slots__ = ("name", "duration", "resources", "deps", "tags", "start", "end")
+    __slots__ = ("name", "duration", "resources", "deps", "tags", "start", "end", "id")
 
     def __init__(
         self,
@@ -88,17 +95,25 @@ class Task:
         self.tags = {} if tags is None else tags
         self.start = start
         self.end = end
+        self.id: int | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task(name={self.name!r}, duration={self.duration!r})"
 
 
-class ScheduledTask(NamedTuple):
-    """Immutable record of one task's placement in the final schedule.
+def describe(label: tuple) -> tuple[str, dict]:
+    """The ``(name, tags)`` of the task that ``label`` stands for."""
+    return label[0](label)
 
-    A named tuple, so :meth:`EventDrivenEngine.run` can build every record
-    in C: a schedule holds one per task.
-    """
+
+def _handle_fields(label: tuple) -> tuple[str, dict]:
+    """Label of an :meth:`EventDrivenEngine.add_task` task: ``(_, handle)``."""
+    task = label[1]
+    return task.name, task.tags
+
+
+class ScheduledTask(NamedTuple):
+    """Immutable record of one task's placement in the final schedule."""
 
     name: str
     start: float
@@ -110,16 +125,62 @@ class ScheduledTask(NamedTuple):
         return self.end - self.start
 
 
-@dataclasses.dataclass(frozen=True)
 class Schedule:
-    """Result of running the engine: per-task timings and the makespan."""
+    """Result of running the engine: per-task timings and the makespan.
 
-    tasks: tuple[ScheduledTask, ...]
+    ``starts`` and ``ends`` hold the scheduled times by task id.  The
+    :class:`ScheduledTask` records of :attr:`tasks`, in the same order, are
+    built from the tasks' labels the first time :attr:`tasks` is read.
+    """
+
+    __slots__ = ("_starts", "_ends", "_labels", "_tasks")
+
+    def __init__(self, tasks: Iterable[ScheduledTask] = ()) -> None:
+        self._tasks = tuple(tasks)
+        self._starts = tuple(task.start for task in self._tasks)
+        self._ends = tuple(task.end for task in self._tasks)
+        self._labels: tuple | None = None
+
+    @classmethod
+    def from_columns(
+        cls, starts: Iterable[float], ends: Iterable[float], labels: Iterable[tuple]
+    ) -> "Schedule":
+        """A schedule whose records are described from ``labels`` when read."""
+        schedule = cls.__new__(cls)
+        schedule._starts = tuple(starts)
+        schedule._ends = tuple(ends)
+        schedule._labels = tuple(labels)
+        schedule._tasks = None
+        return schedule
+
+    @property
+    def starts(self) -> tuple[float, ...]:
+        """Start time of every task, by task id."""
+        return self._starts
+
+    @property
+    def ends(self) -> tuple[float, ...]:
+        """End time of every task, by task id."""
+        return self._ends
+
+    @property
+    def tasks(self) -> tuple[ScheduledTask, ...]:
+        """Every task's record, in insertion order (built on first read)."""
+        tasks = self._tasks
+        if tasks is None:
+            new = tuple.__new__
+            tasks = self._tasks = tuple(
+                new(ScheduledTask, (name, start, end, tags))
+                for (name, tags), start, end in zip(
+                    map(describe, self._labels), self._starts, self._ends
+                )
+            )
+        return tasks
 
     @property
     def makespan(self) -> float:
         """Completion time of the last task (the simulated step latency)."""
-        return max((task.end for task in self.tasks), default=0.0)
+        return max(self._ends, default=0.0)
 
     def by_tag(self, key: str, value) -> list[ScheduledTask]:
         """All scheduled tasks whose ``tags[key]`` equals ``value``."""
@@ -135,27 +196,41 @@ class Schedule:
                 return task
         raise KeyError(f"no task named {name!r} in schedule")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tasks == other.tasks
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Schedule(tasks={self.tasks!r})"
+
 
 class EventDrivenEngine:
     """Event-driven scheduler for a static task graph.
 
-    Tasks are added with :meth:`add_task`; :meth:`run` then advances
-    simulated time with an event queue: a task becomes *ready* when all its
-    dependencies have completed, starts as soon as all its resources are
-    free, and occupies those resources until it finishes.  Ready tasks
-    contend for resources in the order they became ready (FIFO), which makes
-    the schedule deterministic.
+    Tasks are added with :meth:`add_task`, or by id with :meth:`add`;
+    :meth:`run` then advances simulated time with an event queue: a task
+    becomes *ready* when all its dependencies have completed, starts as
+    soon as all its resources are free, and occupies those resources until
+    it finishes.  Ready tasks contend for resources in the order they
+    became ready (FIFO), which makes the schedule deterministic.
     """
 
     def __init__(self) -> None:
-        self._tasks: List[Task] = []
-        #: Task name -> insertion position, the task's integer id.
-        self._ids: Dict[str, int] = {}
+        #: Task columns, by task id.
+        self._durations: List[float] = []
+        self._claims: List[tuple[int, ...]] = []
+        self._labels: List[tuple] = []
+        #: Task name -> handle, for the tasks of :meth:`add_task`.
+        self._handles: Dict[str, Task] = {}
         self._resources: Dict[str, Resource] = {}
-        self._counter = itertools.count()
+        #: Resource -> its id, in order of first claim.
+        self._resource_ids: Dict[Resource, int] = {}
         # One group per distinct deps tuple, numbered in order of first
         # use: its first task, and its later tasks in insertion order.
-        self._groups: Dict[tuple[Task, ...], int] = {}
+        self._groups: Dict[tuple[int, ...], int] = {}
         self._first_member: List[int] = []
         self._more_members: Dict[int, List[int]] = {}
         #: Task id -> the group, or list of groups, that list the task among
@@ -173,6 +248,68 @@ class EventDrivenEngine:
             self._resources[name] = Resource(name)
         return self._resources[name]
 
+    def claims(self, resources: Iterable[Resource]) -> tuple[int, ...]:
+        """The ids of ``resources`` in this engine, as :meth:`add` takes them."""
+        ids = self._resource_ids
+        claimed = []
+        for resource in resources:
+            index = ids.get(resource)
+            if index is None:
+                index = ids[resource] = len(ids)
+            claimed.append(index)
+        return tuple(claimed)
+
+    def add(
+        self,
+        duration: float,
+        claims: tuple[int, ...],
+        deps: tuple[int, ...],
+        label: tuple,
+    ) -> int:
+        """Add one task by id and return its id.
+
+        ``claims`` are resource ids from :meth:`claims`, ``deps`` the ids
+        of earlier tasks and ``label`` the task's deferred name and tags
+        (see the module docstring).  Unlike :meth:`add_task` this does not
+        check that names are unique: it serves builders whose names are
+        unique by construction.
+        """
+        if not duration >= 0:  # also rejects NaN, which would unorder the queue
+            raise ValueError(f"task {describe(label)[0]!r}: duration must be non-negative")
+        durations = self._durations
+        index = len(durations)
+        groups = self._groups
+        count = len(groups)
+        group = groups.setdefault(deps, count)
+        if group == count:
+            # A new deps tuple: validate it once and register its countdown.
+            for dep in deps:
+                if not 0 <= dep < index:
+                    del groups[deps]
+                    raise SimulationError(
+                        f"task {describe(label)[0]!r} depends on unknown task id {dep!r}"
+                    )
+            dependants = self._dependants
+            for dep in deps:
+                waiting = dependants.get(dep)
+                if waiting is None:
+                    dependants[dep] = group
+                elif waiting.__class__ is int:
+                    dependants[dep] = [waiting, group]
+                else:
+                    waiting.append(group)
+            self._first_member.append(index)
+        else:
+            more = self._more_members.get(group)
+            if more is None:
+                self._more_members[group] = [index]
+            else:
+                more.append(index)
+        durations.append(duration)
+        self._claims.append(claims)
+        self._labels.append(label)
+        return index
+
     def add_task(
         self,
         name: str,
@@ -184,43 +321,20 @@ class EventDrivenEngine:
         """Add one task to the graph and return its handle."""
         if not duration >= 0:  # also rejects NaN, which would unorder the queue
             raise ValueError(f"task {name!r}: duration must be non-negative")
-        ids = self._ids
-        if name in ids:
+        handles = self._handles
+        if name in handles:
             raise ValueError(f"duplicate task name {name!r}")
         task = Task(name, float(duration), tuple(resources), tuple(deps), dict(tags or {}))
-        tasks = self._tasks
-        index = len(tasks)
-        groups = self._groups
-        count = len(groups)
-        group = groups.setdefault(task.deps, count)
-        if group == count:
-            # A new deps tuple: validate it once and register its countdown.
-            for dep in task.deps:
-                dep_id = ids.get(dep.name)
-                if dep_id is None or tasks[dep_id] is not dep:
-                    del groups[task.deps]
-                    raise SimulationError(
-                        f"task {name!r} depends on unknown task {dep.name!r}"
-                    )
-            dependants = self._dependants
-            for dep in task.deps:
-                dep_id = ids[dep.name]
-                waiting = dependants.get(dep_id)
-                if waiting is None:
-                    dependants[dep_id] = group
-                elif waiting.__class__ is int:
-                    dependants[dep_id] = [waiting, group]
-                else:
-                    waiting.append(group)
-            self._first_member.append(index)
-        else:
-            more = self._more_members.get(group)
-            if more is None:
-                self._more_members[group] = [index]
-            else:
-                more.append(index)
-        tasks.append(task)
-        ids[name] = index
+        for dep in task.deps:
+            if handles.get(dep.name) is not dep:
+                raise SimulationError(f"task {name!r} depends on unknown task {dep.name!r}")
+        task.id = self.add(
+            task.duration,
+            self.claims(task.resources),
+            tuple(dep.id for dep in task.deps),
+            (_handle_fields, task),
+        )
+        handles[name] = task
         return task
 
     def add_microbatched_task(
@@ -276,14 +390,20 @@ class EventDrivenEngine:
         starts no earlier than it became ready and durations are
         non-negative.  The tasks one completion releases start in insertion
         order -- the FIFO order of equal ready times -- each as soon as all
-        its resources are free, and hold them until it ends.
+        its resources are free, and hold them until it ends.  Resources
+        start from their ``available_at`` and are left at their last end.
         """
-        tasks = self._tasks
+        durations = self._durations
+        claims = self._claims
         first_member = self._first_member
         more_members = self._more_members
         dependants = self._dependants
         pending = [len(deps) for deps in self._groups]
-        counter = self._counter
+        resources = list(self._resource_ids)
+        available = [resource.available_at for resource in resources]
+        starts: List[float | None] = [None] * len(durations)
+        ends: List[float | None] = [None] * len(durations)
+        counter = itertools.count()
         push = heapq.heappush
         pop = heapq.heappop
         events: List[tuple[float, int, int]] = []
@@ -297,18 +417,17 @@ class EventDrivenEngine:
         now = 0.0
         while True:
             for index in released:
-                task = tasks[index]
                 start = now
-                resources = task.resources
-                for resource in resources:
-                    available = resource.available_at
-                    if available > start:
-                        start = available
-                end = start + task.duration
-                for resource in resources:
-                    resource.available_at = end
-                task.start = start
-                task.end = end
+                held = claims[index]
+                for resource in held:
+                    free = available[resource]
+                    if free > start:
+                        start = free
+                end = start + durations[index]
+                for resource in held:
+                    available[resource] = end
+                starts[index] = start
+                ends[index] = end
                 push(events, (end, next(counter), index))
             if not events:
                 break
@@ -334,22 +453,16 @@ class EventDrivenEngine:
             if merged:
                 released.sort()
 
-        if completed != len(tasks):
-            unscheduled = [task.name for task in tasks if task.end is None]
+        for resource, free in zip(resources, available):
+            resource.available_at = free
+        if completed != len(durations):
+            unscheduled = [
+                describe(label)[0] for label, end in zip(self._labels, ends) if end is None
+            ]
             raise SimulationError(
                 f"task graph contains a dependency cycle; unscheduled tasks: {unscheduled}"
             )
-        # ``tuple.__new__`` mapped over zipped columns builds every record
-        # in C (``ScheduledTask`` is a named tuple).
-        records = zip(
-            map(_name, tasks), map(_start, tasks), map(_end, tasks), map(_tags, tasks)
-        )
-        return Schedule(
-            tasks=tuple(map(tuple.__new__, itertools.repeat(ScheduledTask), records))
-        )
-
-
-_name = attrgetter("name")
-_start = attrgetter("start")
-_end = attrgetter("end")
-_tags = attrgetter("tags")
+        for task in self._handles.values():
+            task.start = starts[task.id]
+            task.end = ends[task.id]
+        return Schedule.from_columns(starts, ends, self._labels)

@@ -30,7 +30,9 @@ takes a *fabric*, the engine's mapping of tasks onto resources:
   all-reduce drains off the backward chain.
 
 On both, all compute serializes on one ``array-pu`` resource: every
-accelerator runs its share of a layer pass in lock-step.
+accelerator runs its share of a layer pass in lock-step.  The builder adds
+tasks by id with deferred labels (see :mod:`repro.sim.engine`), so task
+names and tags are built only if a reader asks for the schedule's records.
 
 Energy is accumulated analytically from the same quantities: arithmetic,
 on-chip buffer and local DRAM energy are identical under every strategy
@@ -65,12 +67,13 @@ from repro.core.tensors import ScalingMode
 from repro.interconnect import HTreeTopology, Topology
 from repro.nn.model import DNNModel
 from repro.sim.backend import validate_sim_engine
-from repro.sim.engine import EventDrivenEngine, Resource, Schedule, Task
+from repro.sim.engine import EventDrivenEngine, Schedule
 from repro.sim.metrics import EnergyBreakdown, PhaseBreakdown, TrainingStepReport
 from repro.sim.network import flow_plans, link_classes
 
 #: The three layer passes of training (Equations 1-3 of the paper).
 PHASES = ("forward", "backward", "gradient")
+_FORWARD, _BACKWARD, _GRADIENT = range(len(PHASES))
 
 #: Micro-batches streamed across pipeline stage boundaries per step.  Only
 #: transfers adjacent to a pipeline (pp) layer are micro-batched; dp/mp-only
@@ -80,16 +83,19 @@ DEFAULT_NUM_MICROBATCHES = 4
 # Compiled tables a simulator keeps when no shared cache is handed in.
 _TABLE_CACHE_LIMIT = 16
 
+# (model, batch size) pass lists a simulator keeps before it starts over.
+_PASS_CACHE_LIMIT = 64
+
 
 class _Fabric(NamedTuple):
     """One engine's mapping of a training step's exchanges onto resources.
 
     ``levels[level]`` is ``(durations, boundaries)``: ``boundaries`` lists
-    the tasks one exchange at that level splits into, as ``(name suffix,
-    resources, index into durations, extra tags)``, and each duration
-    function maps a per-pair byte count to seconds -- one per distinct
-    plan shape, so an exchange prices each shape once.  A boundary waits
-    on the deeper level's boundaries its group covers.
+    the tasks one exchange at that level splits into, as ``(resource
+    ids, index into durations, name suffix, extra tags)``, and each
+    duration function maps a per-pair byte count to seconds -- one per
+    distinct plan shape, so an exchange prices each shape once.  A
+    boundary waits on the deeper level's boundaries its group covers.
     ``overlap_gradient`` keeps the gradient computation and its
     all-reduce off the backward chain instead of gating the predecessor
     layer's backward on them.
@@ -98,7 +104,7 @@ class _Fabric(NamedTuple):
     levels: list[
         tuple[
             list[Callable[[float], float]],
-            list[tuple[str, tuple[Resource, ...], int, dict]],
+            list[tuple[tuple[int, ...], int, str, dict]],
         ]
     ]
     overlap_gradient: bool
@@ -106,6 +112,39 @@ class _Fabric(NamedTuple):
 
 def _transfer_time(bandwidth: float) -> Callable[[float], float]:
     return lambda per_pair: per_pair / bandwidth
+
+
+# Task labels (see :mod:`repro.sim.engine`): each builds one task's name
+# and tags from what the builder shares between tasks, when a reader of the
+# schedule asks for its records.
+
+
+def _compute_fields(label: tuple) -> tuple[str, dict]:
+    """``(_, phase, layer name)``: one pass of one layer on the array."""
+    _, phase, layer_name = label
+    return f"{phase}/{layer_name}", {"phase": phase, "kind": "compute", "layer": layer_name}
+
+
+def _boundary_fields(label: tuple) -> tuple[str, dict]:
+    """``(_, exchange, level, boundary, chunk)``: one boundary task of one
+    level of an exchange; ``chunk`` is its micro-batch, or ``None``."""
+    _, (name, phase, layer_name), level, (_, _, suffix, extra), chunk = label
+    name = f"{name}/L{level}{suffix}"
+    if chunk is not None:
+        name = f"{name}/mb{chunk}"
+    return name, {
+        "phase": phase,
+        "kind": "communication",
+        "layer": layer_name,
+        "level": level,
+        **extra,
+    }
+
+
+def _marker_fields(label: tuple) -> tuple[str, dict]:
+    """``(_, exchange)``: the marker of an exchange that moves no bytes."""
+    _, (name, phase, layer_name) = label
+    return f"{name}/none", {"phase": phase, "kind": "communication", "layer": layer_name}
 
 
 class TrainingSimulator:
@@ -187,9 +226,9 @@ class TrainingSimulator:
         #: :meth:`simulate` call (tag/occupancy inspection; ``None`` before
         #: the first call).
         self.last_schedule: Schedule | None = None
-        # Layer-pass executions depend on (layer, work), not on the
-        # assignment, so every point of a sweep issues identical passes.
-        # Keyed by the (frozen, hashable) layer itself plus the work amounts.
+        # Layer-pass executions depend on the model and the batch size, not
+        # on the assignment, so every point of a sweep issues identical
+        # passes; see :meth:`_layer_passes`.
         self._pass_cache: dict = {}
 
     @functools.cached_property
@@ -301,10 +340,10 @@ class TrainingSimulator:
             if self.topology is None:
                 return _Fabric(levels=[], overlap_gradient=True)
             plans = flow_plans(self.topology)
-            classes = [
+            classes = engine.claims(
                 engine.resource(f"link-class-{index}")
                 for index in range(len(link_classes(self.topology)))
-            ]
+            )
             fabric_levels = []
             for level in levels:
                 shapes: dict[tuple, int] = {}
@@ -316,9 +355,9 @@ class TrainingSimulator:
                         durations.append(plan.duration)
                     boundaries.append(
                         (
-                            f"/p{pair}",
                             tuple(classes[index] for index in plan.link_classes),
                             shape,
+                            f"/p{pair}",
                             {"pair": pair},
                         )
                     )
@@ -328,12 +367,57 @@ class TrainingSimulator:
             levels=[
                 (
                     [_transfer_time(self.topology.effective_pair_bandwidth(level))],
-                    [("", (engine.resource(f"link-level-{level}"),), 0, {})],
+                    [(engine.claims((engine.resource(f"link-level-{level}"),)), 0, "", {})],
                 )
                 for level in levels
             ],
             overlap_gradient=False,
         )
+
+    def _layer_passes(
+        self, model: DNNModel, batch_size: int
+    ) -> list[tuple[tuple[float, float, float, float], ...]]:
+        """Per layer, its forward (= backward) pass and its gradient pass.
+
+        Each pass is ``(seconds, compute, SRAM, DRAM joules)`` across the
+        whole array: every accelerator performs 1/N of the work in
+        lock-step, so the energies are N times one accelerator's share --
+        the unpartitioned amounts.  The passes depend on the model and the
+        batch size only, so every assignment of a sweep reads one list.
+        """
+        key = (model, batch_size)
+        passes = self._pass_cache.get(key)
+        if passes is not None:
+            return passes
+        if len(self._pass_cache) >= _PASS_CACHE_LIMIT:
+            self._pass_cache.clear()
+        num_accelerators = self.array.num_accelerators
+        accelerator = self.array.accelerators()[0]
+        passes = []
+        for layer in model:
+            macs_total = batch_size * layer.macs_per_sample
+            layer_passes = []
+            # The gradient pass streams the weights three times.
+            for weight_passes in (1, 3):
+                dram_words_total = batch_size * (
+                    layer.input_shape.elements + layer.output_shape.elements
+                ) + weight_passes * layer.weight_count
+                execution = accelerator.execute_layer_pass(
+                    layer,
+                    macs_total / num_accelerators,
+                    dram_words_total / num_accelerators,
+                )
+                layer_passes.append(
+                    (
+                        execution.seconds,
+                        execution.compute_energy * num_accelerators,
+                        execution.sram_energy * num_accelerators,
+                        execution.dram_energy * num_accelerators,
+                    )
+                )
+            passes.append(tuple(layer_passes))
+        self._pass_cache[key] = passes
+        return passes
 
     def _run_step(
         self,
@@ -343,66 +427,53 @@ class TrainingSimulator:
         level_comm: list[list[tuple]],
         sim_engine: str,
     ) -> tuple[TrainingStepReport, Schedule]:
-        """Build one training step's task graph on ``sim_engine``'s fabric and run it."""
+        """Build one training step's task graph on ``sim_engine``'s fabric and run it.
+
+        Tasks are added by id with deferred labels (see
+        :mod:`repro.sim.engine`); a gate is the tuple of task ids a
+        consumer waits on.
+        """
         num_levels = self.array.num_levels
         num_accelerators = self.array.num_accelerators
-        reference_accelerator = self.array.accelerators()[0]
         energy_model = self.array.energy_model
         engine = EventDrivenEngine()
-        compute = (engine.resource("array-pu"),)
+        add = engine.add
+        compute = engine.claims((engine.resource("array-pu"),))
         fabric = self._fabric(engine, sim_engine)
         level_hops = [self.topology.average_hops(level) for level in range(num_levels)]
+        passes = self._layer_passes(model, batch_size)
 
         compute_energy = 0.0
         sram_energy = 0.0
         dram_energy = 0.0
         comm_energy = 0.0
         level_comm_bytes = [0.0] * num_levels
+        #: Per task id, the index of its (phase, kind) total: ``2 * p`` for
+        #: the compute and ``2 * p + 1`` for the communication of phase
+        #: ``PHASES[p]``.
+        totals_of: list[int] = []
+        track = totals_of.append
 
-        pass_cache = self._pass_cache
-
-        def add_compute(layer, phase: str, deps: tuple[Task, ...]) -> tuple[Task, ...]:
-            """The ``phase`` pass of ``layer`` across the whole array."""
+        def add_compute(layer, phase: int, deps: tuple[int, ...]) -> tuple[int, ...]:
+            """The ``PHASES[phase]`` pass of ``layer`` across the whole array."""
             nonlocal compute_energy, sram_energy, dram_energy
-            macs_total = batch_size * layer.macs_per_sample
-            weight_passes = 3 if phase == "gradient" else 1
-            dram_words_total = batch_size * (
-                layer.input_shape.elements + layer.output_shape.elements
-            ) + weight_passes * layer.weight_count
-            cache_key = (layer, macs_total, dram_words_total, num_accelerators)
-            execution = pass_cache.get(cache_key)
-            if execution is None:
-                if len(pass_cache) >= 4096:
-                    pass_cache.clear()
-                execution = reference_accelerator.execute_layer_pass(
-                    layer,
-                    macs_total / num_accelerators,
-                    dram_words_total / num_accelerators,
-                )
-                pass_cache[cache_key] = execution
-            # Energy is accumulated for the *whole* array: every accelerator
-            # performs 1/N of the work, so the total equals the unpartitioned
-            # amounts.
-            compute_energy += execution.compute_energy * num_accelerators
-            sram_energy += execution.sram_energy * num_accelerators
-            dram_energy += execution.dram_energy * num_accelerators
-            task = engine.add_task(
-                f"{phase}/{layer.name}",
-                execution.seconds,
-                resources=compute,
-                deps=deps,
-                tags={"phase": phase, "kind": "compute", "layer": layer.name},
-            )
-            return (task,)
+            seconds, compute_joules, sram_joules, dram_joules = passes[layer.index][
+                phase == _GRADIENT
+            ]
+            compute_energy += compute_joules
+            sram_energy += sram_joules
+            dram_energy += dram_joules
+            track(2 * phase)
+            return (add(seconds, compute, deps, (_compute_fields, PHASES[phase], layer.name)),)
 
         def add_communication(
             name: str,
             bytes_per_level: Sequence[float],
-            phase: str,
+            phase: int,
             layer_name: str,
-            deps: tuple[Task, ...],
+            deps: tuple[int, ...],
             chunks: int = 1,
-        ) -> tuple[Task, ...]:
+        ) -> tuple[int, ...]:
             """Chain one logical exchange across the hierarchy levels (deepest first).
 
             Returns the tasks the downstream consumer waits on: the
@@ -415,8 +486,10 @@ class TrainingSimulator:
             nonlocal comm_energy
             if not num_levels:
                 return deps  # a single accelerator exchanges nothing
-            previous: tuple[Task, ...] | None = None
-            gates: tuple[Task, ...] = ()
+            exchange = (name, PHASES[phase], layer_name)
+            total = 2 * phase + 1
+            previous: tuple[int, ...] | None = None
+            gates: tuple[int, ...] = ()
             for level in reversed(range(num_levels)):
                 per_pair = bytes_per_level[level]
                 if per_pair <= 0:
@@ -428,32 +501,47 @@ class TrainingSimulator:
                 )
                 durations, boundaries = fabric.levels[level]
                 seconds = [duration(per_pair) for duration in durations]
-                firsts: list[Task] = []
-                lasts: list[Task] = []
-                for index, (suffix, resources, shape, tags) in enumerate(boundaries):
+                firsts: list[int] = []
+                lasts: list[int] = []
+                if previous is not None:
+                    # Each boundary's group covers a contiguous span of the
+                    # deeper level's groups; it waits on exactly those.
+                    span = len(previous) // len(boundaries)
+                for index, boundary in enumerate(boundaries):
+                    claims, shape = boundary[0], boundary[1]
                     if previous is None:
                         boundary_deps = deps
                     else:
-                        # This boundary's group covers a contiguous span of
-                        # the deeper level's groups; wait on exactly those.
-                        span = len(previous) // len(boundaries)
                         boundary_deps = previous[index * span : (index + 1) * span]
-                    first, last = engine.add_microbatched_task(
-                        f"{name}/L{level}{suffix}",
-                        seconds[shape],
-                        chunks,
-                        resources=resources,
-                        deps=boundary_deps,
-                        tags={
-                            "phase": phase,
-                            "kind": "communication",
-                            "layer": layer_name,
-                            "level": level,
-                            **tags,
-                        },
+                    if chunks <= 1:
+                        task = add(
+                            seconds[shape],
+                            claims,
+                            boundary_deps,
+                            (_boundary_fields, exchange, level, boundary, None),
+                        )
+                        track(total)
+                        firsts.append(task)
+                        lasts.append(task)
+                        continue
+                    chunk_seconds = seconds[shape] / chunks
+                    task = add(
+                        chunk_seconds,
+                        claims,
+                        boundary_deps,
+                        (_boundary_fields, exchange, level, boundary, 0),
                     )
-                    firsts.append(first)
-                    lasts.append(last)
+                    track(total)
+                    firsts.append(task)
+                    for chunk in range(1, chunks):
+                        task = add(
+                            chunk_seconds,
+                            claims,
+                            (task,),
+                            (_boundary_fields, exchange, level, boundary, chunk),
+                        )
+                        track(total)
+                    lasts.append(task)
                 previous = tuple(lasts)
                 gates = tuple(firsts if chunks > 1 else lasts)
             if not gates:
@@ -462,14 +550,8 @@ class TrainingSimulator:
                 # marker -- handing consumers the upstream compute task
                 # instead would mislabel every tag-based trace of the
                 # schedule.
-                gates = (
-                    engine.add_task(
-                        f"{name}/none",
-                        0.0,
-                        deps=deps,
-                        tags={"phase": phase, "kind": "communication", "layer": layer_name},
-                    ),
-                )
+                track(total)
+                gates = (add(0.0, (), deps, (_marker_fields, exchange)),)
             return gates
 
         layers = list(model)
@@ -485,13 +567,14 @@ class TrainingSimulator:
             for records in layer_records
         ]
 
-        def add_intra(layer, phase: str, deps: tuple[Task, ...]) -> tuple[Task, ...]:
-            """The intra-layer exchanges strategies run in ``phase`` (mp's
-            partial-sum reduction in forward, dp's gradient reduction)."""
+        def add_intra(layer, phase: int, deps: tuple[int, ...]) -> tuple[int, ...]:
+            """The intra-layer exchanges strategies run in ``PHASES[phase]``
+            (mp's partial-sum reduction in forward, dp's gradient reduction)."""
+            phase_name = PHASES[phase]
             return add_communication(
-                f"{phase}-intra/{layer.name}",
+                f"{phase_name}-intra/{layer.name}",
                 [
-                    intra if strategy_spec(choice).intra_phase == phase else 0.0
+                    intra if strategy_spec(choice).intra_phase == phase_name else 0.0
                     for choice, intra, _ in layer_records[layer.index]
                 ],
                 phase,
@@ -500,16 +583,16 @@ class TrainingSimulator:
             )
 
         def add_inter(
-            layer, destination: int, phase: str, deps: tuple[Task, ...]
-        ) -> tuple[Task, ...]:
+            layer, destination: int, phase: int, deps: tuple[int, ...]
+        ) -> tuple[int, ...]:
             """Re-layout across the edge ``layer -> destination``: the feature
             map in forward, the error in backward."""
             position = layers[destination].inputs.index(layer.index)
-            direction = 1 if phase == "forward" else 2
+            direction = 1 if phase == _FORWARD else 2
             # Chains keep the single-name scheme (a layer has at most one
             # outgoing boundary); DAG fan-out needs the destination to keep
             # task names unique.
-            name = f"{phase}-inter/{layer.name}"
+            name = f"{PHASES[phase]}-inter/{layer.name}"
             if not is_chain:
                 name += f"->{layers[destination].name}"
             pipelined = layer_pipelined[layer.index] or layer_pipelined[destination]
@@ -528,17 +611,17 @@ class TrainingSimulator:
         # re-layout when the array has levels.
         # ------------------------------------------------------------------
 
-        forward_edge_gate: dict[tuple[int, int], tuple[Task, ...]] = {}
-        tail: tuple[Task, ...] = ()
+        forward_edge_gate: dict[tuple[int, int], tuple[int, ...]] = {}
+        tail: tuple[int, ...] = ()
         for layer in layers:
             deps = tuple(
                 task
                 for source in layer.inputs
                 for task in forward_edge_gate[(source, layer.index)]
             )
-            tail = add_intra(layer, "forward", add_compute(layer, "forward", deps))
+            tail = add_intra(layer, _FORWARD, add_compute(layer, _FORWARD, deps))
             for destination in layer_consumers[layer.index]:
-                gate = add_inter(layer, destination, "forward", tail)
+                gate = add_inter(layer, destination, _FORWARD, tail)
                 forward_edge_gate[(layer.index, destination)] = gate
                 if is_chain:
                     tail = gate
@@ -552,7 +635,7 @@ class TrainingSimulator:
         # ------------------------------------------------------------------
 
         forward_final = tail
-        backward_final: dict[int, tuple[Task, ...]] = {}
+        backward_final: dict[int, tuple[int, ...]] = {}
         for layer in reversed(layers):
             consumers = layer_consumers[layer.index]
             if consumers:
@@ -561,34 +644,31 @@ class TrainingSimulator:
                 )
             else:
                 deps = forward_final
-            tail = add_compute(layer, "backward", deps)
+            tail = add_compute(layer, _BACKWARD, deps)
             for destination in consumers:
-                tail = add_inter(layer, destination, "backward", tail)
+                tail = add_inter(layer, destination, _BACKWARD, tail)
             if fabric.overlap_gradient:
                 # The predecessor's backward needs only the propagated error;
                 # the gradient work and its all-reduce drain alongside and
                 # extend the step only if they finish last.
                 backward_final[layer.index] = tail
-            tail = add_intra(layer, "gradient", add_compute(layer, "gradient", tail))
+            tail = add_intra(layer, _GRADIENT, add_compute(layer, _GRADIENT, tail))
             if not fabric.overlap_gradient:
                 backward_final[layer.index] = tail
 
         schedule = engine.run()
 
-        # One pass over the schedule instead of one scan per (phase, kind).
-        phase_durations = {phase: {"compute": 0.0, "communication": 0.0} for phase in PHASES}
-        for task in schedule.tasks:
-            phase = task.tags.get("phase")
-            kind = task.tags.get("kind")
-            bucket = phase_durations.get(phase)
-            if bucket is not None and kind in bucket:
-                bucket[kind] += task.duration
+        # Each phase's compute and communication time: the tasks' end -
+        # start, added in insertion order.
+        totals = [0.0] * (2 * len(PHASES))
+        for total, start, end in zip(totals_of, schedule.starts, schedule.ends):
+            totals[total] += end - start
         phase_seconds = {
             phase: PhaseBreakdown(
-                compute_seconds=durations["compute"],
-                communication_seconds=durations["communication"],
+                compute_seconds=totals[2 * index],
+                communication_seconds=totals[2 * index + 1],
             )
-            for phase, durations in phase_durations.items()
+            for index, phase in enumerate(PHASES)
         }
 
         report = TrainingStepReport(

@@ -27,6 +27,7 @@ from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model, resolve_co
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import StrategySpace
 from repro.core.tensors import ScalingMode
+from repro.nn.model_zoo import canonical_model_name
 from repro.sim.backend import DEFAULT_SIM_ENGINE, validate_sim_engine
 
 #: Topology names the runner can instantiate (see
@@ -261,7 +262,13 @@ class SweepSpec:
             values = tuple(getattr(self, axis))
             if not values:
                 raise ValueError(f"sweep axis {axis!r} must not be empty")
-            if field is not None:
+            if field is None:
+                for value in values:
+                    try:
+                        canonical_model_name(value)
+                    except KeyError as error:
+                        raise ValueError(f"sweep axis {axis!r}: {error.args[0]}") from None
+            else:
                 try:
                     canonical = tuple(_CANONICAL[field](value) for value in values)
                 except ValueError as error:

@@ -262,3 +262,66 @@ class TestDagModels:
                     ),
                 ],
             )
+
+
+def _table_cache_counts_in_a_fresh_process(model):
+    """Compile ``model``'s table for an equal model built in this process,
+    then look ``model`` (unpickled here) up: ``(hits, misses)``."""
+    from repro.core.costs import TableCache
+    from repro.nn.model_zoo import get_model
+
+    cache = TableCache()
+    cache.get_or_compile(get_model(model.name), 64, 2)
+    cache.get_or_compile(model, 64, 2)
+    return cache.hits, cache.misses
+
+
+class TestHashOnce:
+    """Models and layers hash once; copies and pickles hash afresh."""
+
+    def test_equal_models_hash_equal(self):
+        from repro.nn.model_zoo import get_model
+
+        for name in ("Lenet-c", "resnet_s", "gpt_r-4"):
+            first, second = get_model(name), get_model(name)
+            assert first is not second
+            assert first == second
+            assert hash(first) == hash(second)
+            assert hash(first.layers[-1]) == hash(second.layers[-1])
+
+    def test_a_second_hash_walks_no_field(self):
+        model = _small_model()
+        layer = model.layers[0]
+        model_hash, layer_hash = hash(model), hash(layer)
+        # The generated hash of either would now raise: lists are unhashable.
+        object.__setattr__(model, "name", ["renamed"])
+        object.__setattr__(layer, "spec", ["respecified"])
+        assert hash(model) == model_hash
+        assert hash(layer) == layer_hash
+
+    def test_pickles_and_copies_leave_the_hash_out(self):
+        import copy
+        import pickle
+
+        model = _small_model()
+        hash(model)
+        for clone in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+            assert clone == model
+            assert "_hash" not in vars(clone)
+            assert "_hash" not in vars(clone.layers[0]) or clone.layers[0] is model.layers[0]
+            assert hash(clone) == hash(model)
+
+    def test_a_model_copied_into_a_spawn_worker_hits_its_table(self):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.nn.model_zoo import get_model
+
+        model = get_model("gpt_s-4")
+        hash(model)  # memoized here, under this process's string hashes
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            hits, misses = pool.submit(_table_cache_counts_in_a_fresh_process, model).result(
+                timeout=120
+            )
+        assert (hits, misses) == (1, 1)

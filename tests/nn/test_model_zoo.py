@@ -368,6 +368,15 @@ class TestParameterizedTransformers:
 
         assert canonical_model_name(spelling) == expected
 
+    @pytest.mark.parametrize("spelling", ["gpt_s-0", "gpt_s-00", "gpt_r-0", "bert_s-0", "GPTS0"])
+    def test_depth_zero_is_an_unknown_model(self, spelling):
+        from repro.nn.model_zoo import canonical_model_name
+
+        with pytest.raises(KeyError, match="has no blocks"):
+            canonical_model_name(spelling)
+        with pytest.raises(KeyError, match="has no blocks"):
+            get_model(spelling)
+
     def test_get_model_depth_forms_agree(self):
         from repro.nn.model_zoo import get_model
 

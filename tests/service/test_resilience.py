@@ -47,8 +47,19 @@ def _live_server(**kwargs):
     try:
         yield server
     finally:
+        # A request that overran its deadline left its computation running
+        # on a compute thread; wait for it, so that its table compile cannot
+        # land in the shared table cache while a later test counts misses.
+        computing = [
+            worker
+            for worker in threading.enumerate()
+            if worker.name == "hypar-serve-compute"
+        ]
+        for worker in computing:
+            worker.join(timeout=60.0)
         server.close()
         thread.join(timeout=5.0)
+    assert not any(worker.is_alive() for worker in computing)
 
 
 def _post(service: HyParService, path: str, payload) -> tuple[int, bytes]:

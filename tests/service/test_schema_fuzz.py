@@ -63,7 +63,9 @@ def _mixed(base: dict, plausible: dict, wild: tuple[str, ...]):
     )
 
 
-MODEL = st.sampled_from(["VGG-A", "vgg_a", " vgg11 ", "lenet", "gpt_s-030", "gpts30", "nope"])
+MODEL = st.sampled_from(
+    ["VGG-A", "vgg_a", " vgg11 ", "lenet", "gpt_s-030", "gpts30", "gpt_s-0", "nope"]
+)
 PLATFORM = {
     "batch_size": st.integers(-2, 4096),
     "num_accelerators": st.sampled_from([-1, 0, 1, 2, 3, 4, 12, 16, 64]),

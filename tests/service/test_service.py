@@ -192,6 +192,23 @@ class TestMalformedRequests:
         assert response.status == 400
         assert "known models" in response.json()["error"]
 
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/partition", {"model": "gpt_s-0"}),
+            ("/simulate", {"model": "gpt_s-00"}),
+            ("/replan", {"model": "gpt_r-0", "preset": "spot"}),
+            ("/sweep", {"spec": {"name": "x", "models": ["bert_s-0"]}}),
+        ],
+        ids=["partition", "simulate", "replan", "sweep"],
+    )
+    def test_depth_zero_model_is_a_400_naming_the_model(self, path, payload):
+        with HyParService() as service:
+            status, body = _post(service, path, payload)
+        assert status == 400
+        assert "model" in body["error"]
+        assert "has no blocks" in body["error"]
+
     def test_wrong_method_is_405(self, client):
         response = client.request("GET", "/partition")
         assert response.status == 405

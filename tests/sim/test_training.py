@@ -1,5 +1,8 @@
 """Tests for the training-step simulator."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.accelerator.array import ArrayConfig
@@ -12,6 +15,17 @@ from repro.interconnect import HTreeTopology, TorusTopology
 from repro.nn.model_zoo import get_model, lenet_c
 from repro.sim.engine import EventDrivenEngine
 from repro.sim.training import PHASES, TrainingSimulator
+
+
+def _load_engine_oracle():
+    path = Path(__file__).resolve().parent / "engine_oracle.py"
+    spec = importlib.util.spec_from_file_location("engine_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+engine_oracle = _load_engine_oracle()
 
 
 @pytest.fixture(scope="module")
@@ -253,14 +267,14 @@ class TestLevelChaining:
     @pytest.fixture
     def task_deps(self, monkeypatch):
         recorded = {}
-        add_task = EventDrivenEngine.add_task
+        run = EventDrivenEngine.run
 
-        def spy(self, name, duration, resources=(), deps=(), tags=None):
-            task = add_task(self, name, duration, resources, deps, tags)
-            recorded[name] = tuple(dep.name for dep in task.deps)
-            return task
+        def spy(self):
+            for task in engine_oracle.tasks_of(self):
+                recorded[task.name] = tuple(dep.name for dep in task.deps)
+            return run(self)
 
-        monkeypatch.setattr(EventDrivenEngine, "add_task", spy)
+        monkeypatch.setattr(EventDrivenEngine, "run", spy)
         return recorded
 
     def test_network_boundaries_wait_on_their_child_groups(self, task_deps, lenet_model):

@@ -48,6 +48,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(name="bad", models=("Lenet-c",), strategy_spaces=("dp,zz",))
 
+    @pytest.mark.parametrize(
+        "model, message", [("gpt_s-0", "has no blocks"), ("nope", "unknown model 'nope'")]
+    )
+    def test_rejects_a_model_the_zoo_cannot_build(self, model, message):
+        with pytest.raises(ValueError, match=f"sweep axis 'models': .*{message}"):
+            SweepSpec(name="bad", models=("Lenet-c", model))
+
 
 class TestJsonRoundTrip:
     def test_round_trip(self):

@@ -147,6 +147,10 @@ class TestBadInput:
                 ["replan", "--trace", "missing.jsonl"],
                 "argument --trace: [Errno 2] No such file or directory: 'missing.jsonl'",
             ),
+            (
+                ["partition", "gpt_s-0"],
+                "argument model: model 'gpt_s-0' has no blocks",
+            ),
             (["sweep", "nosuch"], "argument spec: unknown sweep preset 'nosuch'"),
             (
                 ["sweep", "missing.json"],
@@ -232,6 +236,7 @@ class TestBadInput:
             "replan-events-0",
             "replan-horizon-steps-0",
             "replan-missing-trace",
+            "partition-depth-0-model",
             "sweep-unknown-preset",
             "sweep-missing-spec",
             "sweep-workers-0",
