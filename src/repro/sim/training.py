@@ -508,7 +508,7 @@ class TrainingSimulator:
                     # deeper level's groups; it waits on exactly those.
                     span = len(previous) // len(boundaries)
                 for index, boundary in enumerate(boundaries):
-                    claims, shape = boundary[0], boundary[1]
+                    claims, shape, _, _ = boundary
                     if previous is None:
                         boundary_deps = deps
                     else:
