@@ -28,7 +28,7 @@ from repro.core.exhaustive import (
     restricted_assignment,
 )
 from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import HierarchicalAssignment, Parallelism
+from repro.core.parallelism import HierarchicalAssignment
 from repro.core.tensors import ScalingMode
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import lenet_c, vgg_a
@@ -244,9 +244,3 @@ def describe_point(point: ExplorationPoint, free_positions: Sequence[tuple[int, 
 def bit_string(point: ExplorationPoint, num_positions: int) -> str:
     """The sweep point's bit pattern as a string (0 = dp, 1 = mp)."""
     return format(point.bits, f"0{num_positions}b")[::-1]
-
-
-def _choices_for_positions(
-    assignment: HierarchicalAssignment, positions: Sequence[tuple[int, int]]
-) -> list[Parallelism]:
-    return [assignment.choice(level, layer) for level, layer in positions]

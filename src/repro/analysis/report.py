@@ -89,13 +89,7 @@ def write_study_artifacts(
     runner uses (full float precision, stable column order) and the serial
     and process-parallel runs stay byte-comparable on disk.
     """
-    import os
-
-    from repro.sweep import artifacts
+    from repro.sweep.artifacts import write_artifacts
 
     rows = list(rows)
-    json_path = os.path.join(directory, f"{name}.json")
-    csv_path = os.path.join(directory, f"{name}.csv")
-    artifacts.write_json(json_path, {"study": name, "rows": rows})
-    artifacts.write_csv(csv_path, rows)
-    return {"json": json_path, "csv": csv_path}
+    return write_artifacts(directory, name, {"study": name, "rows": rows}, rows)

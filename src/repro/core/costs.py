@@ -1852,14 +1852,6 @@ class CostTable:
             ),
         )
 
-    def result_for_codes(self, codes: int) -> PartitionResult:
-        """Materialize the :class:`PartitionResult` of one digit-pattern."""
-        assignment = LayerAssignment.from_codes(
-            codes, self.num_layers, self.strategies
-        )
-        total = float(self.score_codes(np.array([codes], dtype=np.int64))[0])
-        return self.lazy_result(assignment, total)
-
     def _check_assignment(self, assignment: LayerAssignment) -> None:
         if assignment.num_layers != self.num_layers:
             raise ValueError(

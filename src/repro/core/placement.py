@@ -116,12 +116,6 @@ class LayerShard:
             return 0.0
         return self.weight_interval.length
 
-    def feature_in_fraction(self) -> float:
-        """Fraction of the input feature map (and input error) held locally."""
-        if not self.owned:
-            return 0.0
-        return self.batch_interval.length * self.weight_interval.length
-
     def feature_out_fraction(self) -> float:
         """Fraction of the output feature map (and output error) held locally."""
         if not self.owned:

@@ -496,13 +496,7 @@ class ReplanReport:
 
     def write_artifacts(self, directory: str, name: str = "replan") -> dict[str, str]:
         """Write ``<name>.json`` and ``<name>.csv`` under ``directory``."""
-        import os
-
-        json_path = os.path.join(directory, f"{name}.json")
-        csv_path = os.path.join(directory, f"{name}.csv")
-        artifacts.write_json(json_path, self.to_payload())
-        artifacts.write_csv(csv_path, self.to_rows())
-        return {"json": json_path, "csv": csv_path}
+        return artifacts.write_artifacts(directory, name, self.to_payload(), self.to_rows())
 
     def describe(self) -> str:
         totals = self.totals()

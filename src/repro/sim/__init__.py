@@ -27,7 +27,6 @@ _EXPORTS = {
     "Transfer": "trace",
     "EventDrivenEngine": "engine",
     "Resource": "engine",
-    "Task": "engine",
     "Schedule": "engine",
     "ScheduledTask": "engine",
     "SimulationError": "engine",

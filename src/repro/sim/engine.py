@@ -11,10 +11,13 @@ task graph on top of it.
 
 The graph is held in flat columns indexed by task id (insertion
 position): each task's duration, the ids of the resources it holds and
-its *label*.  Tasks that name the same tuple of dependency ids share one
-countdown, so a fan-in of ``m`` tasks onto one tuple of ``k`` dependencies
-costs ``k`` decrements instead of ``m * k``; each distinct tuple is
-validated once, when its first task is added.
+its *label*.  :meth:`EventDrivenEngine.add` is the one way to add a task;
+a builder that splits a transfer into micro-batches adds the chunks as a
+chain of tasks, each depending on the one before.  Tasks that name the
+same tuple of dependency ids share one countdown, so a fan-in of ``m``
+tasks onto one tuple of ``k`` dependencies costs ``k`` decrements
+instead of ``m * k``; each distinct tuple is validated once, when its
+first task is added.
 
 A label carries what only a reader of the schedule needs: it is a tuple
 whose first item is a function that maps the whole label to the task's
@@ -54,62 +57,9 @@ class Resource:
         return f"Resource(name={self.name!r}, available_at={self.available_at!r})"
 
 
-class Task:
-    """Handle of one task added by :meth:`EventDrivenEngine.add_task`.
-
-    Attributes
-    ----------
-    name:
-        Unique task name (used in schedules and error messages).
-    duration:
-        Simulated execution time in seconds.
-    resources:
-        Resources the task occupies for its whole duration.
-    deps:
-        Tasks that must complete before this one may start.
-    tags:
-        Free-form key/value metadata (layer, phase, level, energy, ...)
-        carried through to the schedule for reporting.
-    start, end:
-        The scheduled times, filled in by :meth:`EventDrivenEngine.run`.
-    id:
-        The task's id in its engine (its insertion position).
-    """
-
-    __slots__ = ("name", "duration", "resources", "deps", "tags", "start", "end", "id")
-
-    def __init__(
-        self,
-        name: str,
-        duration: float,
-        resources: tuple[Resource, ...] = (),
-        deps: tuple["Task", ...] = (),
-        tags: dict | None = None,
-        start: float | None = None,
-        end: float | None = None,
-    ) -> None:
-        self.name = name
-        self.duration = duration
-        self.resources = resources
-        self.deps = deps
-        self.tags = {} if tags is None else tags
-        self.start = start
-        self.end = end
-        self.id: int | None = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Task(name={self.name!r}, duration={self.duration!r})"
-
-
 def describe(label: tuple) -> tuple[str, dict]:
     """The ``(name, tags)`` of the task that ``label`` stands for."""
     return label[0](label)
-
-
-def _handle_fields(label: tuple) -> tuple[str, dict]:
-    """Label of an :meth:`EventDrivenEngine.add_task` task: ``(_, handle)``."""
-    task = label[1]
-    return task.name, task.tags
 
 
 class ScheduledTask(NamedTuple):
@@ -210,12 +160,12 @@ class Schedule:
 class EventDrivenEngine:
     """Event-driven scheduler for a static task graph.
 
-    Tasks are added with :meth:`add_task`, or by id with :meth:`add`;
-    :meth:`run` then advances simulated time with an event queue: a task
-    becomes *ready* when all its dependencies have completed, starts as
-    soon as all its resources are free, and occupies those resources until
-    it finishes.  Ready tasks contend for resources in the order they
-    became ready (FIFO), which makes the schedule deterministic.
+    Tasks are added by id with :meth:`add`; :meth:`run` then advances
+    simulated time with an event queue: a task becomes *ready* when all
+    its dependencies have completed, starts as soon as all its resources
+    are free, and occupies those resources until it finishes.  Ready
+    tasks contend for resources in the order they became ready (FIFO),
+    which makes the schedule deterministic.
     """
 
     def __init__(self) -> None:
@@ -223,8 +173,6 @@ class EventDrivenEngine:
         self._durations: List[float] = []
         self._claims: List[tuple[int, ...]] = []
         self._labels: List[tuple] = []
-        #: Task name -> handle, for the tasks of :meth:`add_task`.
-        self._handles: Dict[str, Task] = {}
         self._resources: Dict[str, Resource] = {}
         #: Resource -> its id, in order of first claim.
         self._resource_ids: Dict[Resource, int] = {}
@@ -270,9 +218,8 @@ class EventDrivenEngine:
 
         ``claims`` are resource ids from :meth:`claims`, ``deps`` the ids
         of earlier tasks and ``label`` the task's deferred name and tags
-        (see the module docstring).  Unlike :meth:`add_task` this does not
-        check that names are unique: it serves builders whose names are
-        unique by construction.
+        (see the module docstring).  Names are not checked for uniqueness:
+        builders make them unique by construction.
         """
         if not duration >= 0:  # also rejects NaN, which would unorder the queue
             raise ValueError(f"task {describe(label)[0]!r}: duration must be non-negative")
@@ -309,72 +256,6 @@ class EventDrivenEngine:
         self._claims.append(claims)
         self._labels.append(label)
         return index
-
-    def add_task(
-        self,
-        name: str,
-        duration: float,
-        resources: Iterable[Resource] = (),
-        deps: Iterable[Task] = (),
-        tags: dict | None = None,
-    ) -> Task:
-        """Add one task to the graph and return its handle."""
-        if not duration >= 0:  # also rejects NaN, which would unorder the queue
-            raise ValueError(f"task {name!r}: duration must be non-negative")
-        handles = self._handles
-        if name in handles:
-            raise ValueError(f"duplicate task name {name!r}")
-        task = Task(name, float(duration), tuple(resources), tuple(deps), dict(tags or {}))
-        for dep in task.deps:
-            if handles.get(dep.name) is not dep:
-                raise SimulationError(f"task {name!r} depends on unknown task {dep.name!r}")
-        task.id = self.add(
-            task.duration,
-            self.claims(task.resources),
-            tuple(dep.id for dep in task.deps),
-            (_handle_fields, task),
-        )
-        handles[name] = task
-        return task
-
-    def add_microbatched_task(
-        self,
-        name: str,
-        duration: float,
-        chunks: int,
-        resources: Iterable[Resource] = (),
-        deps: Iterable[Task] = (),
-        tags: dict | None = None,
-    ) -> tuple[Task, Task]:
-        """Split one task into ``chunks`` equal sequential micro-tasks.
-
-        This is the engine-level primitive behind micro-batched pipeline
-        transfers: the chunks chain on each other (and serialise on their
-        resources), so the resource is occupied for the full ``duration``,
-        but a downstream consumer that can proceed after the *first*
-        micro-batch depends on the returned ``first`` task and overlaps
-        the remaining ``chunks - 1`` chunks.  Returns ``(first, last)``;
-        with ``chunks <= 1`` the task is added unsplit and returned as
-        both.
-        """
-        if chunks <= 1:
-            task = self.add_task(name, duration, resources, deps, tags)
-            return task, task
-        resources = tuple(resources)
-        first: Task | None = None
-        last: Task | None = None
-        for index in range(chunks):
-            task = self.add_task(
-                f"{name}/mb{index}",
-                duration / chunks,
-                resources,
-                deps if last is None else (last,),
-                tags,
-            )
-            if first is None:
-                first = task
-            last = task
-        return first, last
 
     # ------------------------------------------------------------------
     # Execution.
@@ -462,7 +343,4 @@ class EventDrivenEngine:
             raise SimulationError(
                 f"task graph contains a dependency cycle; unscheduled tasks: {unscheduled}"
             )
-        for task in self._handles.values():
-            task.start = starts[task.id]
-            task.end = ends[task.id]
         return Schedule.from_columns(starts, ends, self._labels)

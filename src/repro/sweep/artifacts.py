@@ -74,6 +74,18 @@ def write_json(path: str, payload) -> None:
         handle.write(payload_to_json(payload))
 
 
+def write_artifacts(
+    directory: str, name: str, payload, rows: Sequence[Mapping]
+) -> dict[str, str]:
+    """Write ``payload`` to ``<name>.json`` and ``rows`` to ``<name>.csv``
+    under ``directory``; returns both paths by format."""
+    json_path = os.path.join(directory, f"{name}.json")
+    csv_path = os.path.join(directory, f"{name}.csv")
+    write_json(json_path, payload)
+    write_csv(csv_path, rows)
+    return {"json": json_path, "csv": csv_path}
+
+
 def ensure_parent(path: str) -> None:
     """Create the directory ``path`` will be written into, if missing."""
     parent = os.path.dirname(os.path.abspath(path))

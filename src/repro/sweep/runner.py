@@ -149,13 +149,9 @@ class SweepResult:
 
     def write_artifacts(self, directory: str) -> dict[str, str]:
         """Write ``<name>.json`` and ``<name>.csv`` under ``directory``."""
-        import os
-
-        json_path = os.path.join(directory, f"{self.spec.name}.json")
-        csv_path = os.path.join(directory, f"{self.spec.name}.csv")
-        artifacts.write_json(json_path, self.to_payload())
-        artifacts.write_csv(csv_path, self.to_rows())
-        return {"json": json_path, "csv": csv_path}
+        return artifacts.write_artifacts(
+            directory, self.spec.name, self.to_payload(), self.to_rows()
+        )
 
 
 def run_sweep(

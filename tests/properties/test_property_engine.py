@@ -51,19 +51,15 @@ def random_task_graphs(draw):
     return graph
 
 
+def _named(label):
+    """Label of the tasks below: ``(_, name, tags)``."""
+    return label[1], label[2]
+
+
 def _build(engine, graph):
-    tasks = []
     for index, (duration, deps, resource) in enumerate(graph):
         resources = (engine.resource(f"r{resource}"),) if resource is not None else ()
-        tasks.append(
-            engine.add_task(
-                f"t{index}",
-                duration,
-                resources=resources,
-                deps=tuple(tasks[d] for d in deps),
-            )
-        )
-    return tasks
+        engine.add(duration, engine.claims(resources), tuple(deps), (_named, f"t{index}", {}))
 
 
 class TestScheduleInvariants:
@@ -172,18 +168,19 @@ def tied_task_graphs(draw):
 
 
 def _build_tied(graph) -> EventDrivenEngine:
+    """Each task of ``graph`` as ``chunks`` chained micro-batch tasks
+    named ``t<index>/mb<chunk>`` (one unsplit ``t<index>`` when
+    ``chunks`` is 1); a dependant waits on the last chunk."""
     engine = EventDrivenEngine()
     lasts = []
     for index, (duration, deps, resources, chunks) in enumerate(graph):
-        _, last = engine.add_microbatched_task(
-            f"t{index}",
-            duration,
-            chunks,
-            resources=tuple(engine.resource(f"r{r}") for r in resources),
-            deps=tuple(lasts[d] for d in deps),
-            tags={"index": index, "chunks": chunks},
-        )
-        lasts.append(last)
+        claims = engine.claims(engine.resource(f"r{r}") for r in resources)
+        tags = {"index": index, "chunks": chunks}
+        gate = tuple(lasts[d] for d in deps)
+        for chunk in range(chunks):
+            name = f"t{index}" if chunks == 1 else f"t{index}/mb{chunk}"
+            gate = (engine.add(duration / chunks, claims, gate, (_named, name, tags)),)
+        lasts.append(gate[0])
     return engine
 
 
