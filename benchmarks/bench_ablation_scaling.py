@@ -24,6 +24,7 @@ from repro.analysis.experiments import DATA_PARALLELISM, HYPAR, ExperimentRunner
 from repro.analysis.report import format_table
 from repro.core.tensors import ScalingMode
 from repro.nn.model_zoo import get_model
+from repro.sweep.spec import PlanConfig
 
 MODELS = ("Lenet-c", "AlexNet", "VGG-A")
 
@@ -32,7 +33,7 @@ def test_ablation_scaling_modes(benchmark):
     def run_all_modes():
         results = {}
         for mode in ScalingMode:
-            runner = ExperimentRunner(scaling_mode=mode)
+            runner = ExperimentRunner(PlanConfig(scaling_mode=mode))
             table = runner.run([get_model(name) for name in MODELS])
             perf = table.performance()
             results[mode.value] = {

@@ -46,7 +46,7 @@ _EXPORTS = {
     "TorusTopology": "interconnect",
     "build_topology": "interconnect",
     "TrainingSimulator": "sim",
-    "SimulationSpec": "sim",
+    "PlanConfig": "sweep",
     "SimulationResult": "sim",
     "simulate": "sim",
     "ExperimentRunner": "analysis",

@@ -100,10 +100,6 @@ class ArrayConfig:
             for index in range(self.num_accelerators)
         ]
 
-    def with_num_accelerators(self, num_accelerators: int) -> "ArrayConfig":
-        """Copy of this configuration with a different array size (scalability study)."""
-        return dataclasses.replace(self, num_accelerators=num_accelerators)
-
 
 #: The paper's evaluation platform: sixteen accelerators, 1600 Mb/s links.
 PAPER_ARRAY = ArrayConfig()

@@ -30,11 +30,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism, model_parallelism
 from repro.nn.model_zoo import get_model
-from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
+from repro.sweep.spec import PlanConfig
 
 #: Strategy labels in simulation order (also the figure labels).
 STRATEGIES = ("Data Parallelism", "Model Parallelism", "HyPar")
@@ -138,9 +137,11 @@ class CongestionStudy:
 
 def _congestion_task(config: CongestionConfig) -> CongestionComparison:
     """Sweep-engine task: one configuration under both engines."""
-    simulator = cached_simulator(
-        ArrayConfig(num_accelerators=config.num_accelerators), config.topology
-    )
+    simulator = PlanConfig(
+        batch_size=config.batch_size,
+        num_accelerators=config.num_accelerators,
+        topology=config.topology,
+    ).simulator()
     model = get_model(config.model)
     num_levels = simulator.array.num_levels
 

@@ -19,19 +19,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Mapping, Sequence
 
-from repro.accelerator.array import ArrayConfig
 from repro.analysis.report import format_table, geometric_mean
 from repro.core.baselines import data_parallelism, model_parallelism, one_weird_trick
-from repro.core.costmodel import ANALYTIC_SPEC, canonical_cost_model, resolve_cost_model
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import HierarchicalAssignment, StrategySpace
+from repro.core.parallelism import HierarchicalAssignment
 from repro.core.result import HierarchicalResult
-from repro.core.tensors import ScalingMode
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import all_models
 from repro.sim.metrics import TrainingStepReport
-from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
+from repro.sweep.spec import PlanConfig
 
 #: Strategy names as they appear in the paper's figures.
 MODEL_PARALLELISM = "Model Parallelism"
@@ -114,77 +110,25 @@ class EvaluationTable:
         return "\n\n".join(sections)
 
 
-@dataclasses.dataclass(frozen=True)
-class _RunnerConfig:
-    """Picklable recipe for rebuilding an :class:`ExperimentRunner` in a worker."""
-
-    array: ArrayConfig
-    batch_size: int
-    scaling_mode: ScalingMode
-    include_trick: bool
-    strategies: str
-    #: Cost-model spec string -- strings pickle cleanly into workers, and
-    #: the worker re-resolves (and re-fits, once per process) on build.
-    cost_model: str = ANALYTIC_SPEC
-
-    def build(self) -> "ExperimentRunner":
-        return ExperimentRunner(
-            array=self.array,
-            batch_size=self.batch_size,
-            scaling_mode=self.scaling_mode,
-            include_trick=self.include_trick,
-            strategies=self.strategies,
-            cost_model=self.cost_model,
-        )
-
-
-def _compare_task(task: tuple[_RunnerConfig, DNNModel]) -> "ModelComparison":
+def _compare_task(task: tuple[PlanConfig, bool, DNNModel]) -> "ModelComparison":
     """Sweep-engine task: one network's Figures 6-8 comparison."""
-    config, model = task
-    return config.build().compare(model)
+    plan, include_trick, model = task
+    return ExperimentRunner(plan, include_trick).compare(model)
 
 
 class ExperimentRunner:
     """Runs the partition search and the simulator for a set of strategies.
 
-    Parameters mirror the paper's setup: a sixteen-accelerator H-tree array
-    and a batch size of 256, all overridable for the sensitivity studies.
-    The simulator is the platform's
-    :func:`~repro.sweep.cache.cached_simulator`, so every study touching
-    the same configuration reuses it and its compiled cost tables.
+    ``plan`` defaults to the paper's setup: a sixteen-accelerator H-tree
+    array and a batch size of 256.  The simulator is the plan's
+    :meth:`~repro.sweep.spec.PlanConfig.simulator`, so every study
+    touching the same platform reuses it and its compiled cost tables.
     """
 
-    def __init__(
-        self,
-        array: ArrayConfig | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
-        include_trick: bool = False,
-        strategies: "StrategySpace | str | None" = None,
-        cost_model: str = ANALYTIC_SPEC,
-    ) -> None:
-        self.array = array or ArrayConfig()
-        self.batch_size = batch_size
-        self.scaling_mode = ScalingMode.parse(scaling_mode)
+    def __init__(self, plan: PlanConfig | None = None, include_trick: bool = False) -> None:
+        self.plan = plan if plan is not None else PlanConfig()
         self.include_trick = include_trick
-        self.cost_model = canonical_cost_model(cost_model)
-        self.simulator = cached_simulator(
-            self.array,
-            scaling_mode=self.scaling_mode,
-            strategies=strategies,
-            communication_model=resolve_cost_model(self.cost_model).communication_model(),
-        )
-        self.strategies = self.simulator.strategies
-
-    def _task_config(self) -> _RunnerConfig:
-        return _RunnerConfig(
-            array=self.array,
-            batch_size=self.batch_size,
-            scaling_mode=self.scaling_mode,
-            include_trick=self.include_trick,
-            strategies=self.strategies.describe(),
-            cost_model=self.cost_model,
-        )
+        self.simulator = self.plan.simulator()
 
     # ------------------------------------------------------------------
     # Figure 5: the optimised parallelism lists.
@@ -195,8 +139,8 @@ class ExperimentRunner:
 
         Search and simulation share the simulator's cached cost table.
         """
-        table = self.simulator.cost_table(model, self.batch_size)
-        return self.simulator.partitioner.partition(model, self.batch_size, table=table)
+        table = self.simulator.cost_table(model, self.plan.batch_size)
+        return self.simulator.partitioner.partition(model, self.plan.batch_size, table=table)
 
     # ------------------------------------------------------------------
     # Figures 6-8: simulate every strategy.
@@ -209,7 +153,7 @@ class ExperimentRunner:
     def _assignments(
         self, model: DNNModel, hypar: HierarchicalResult
     ) -> dict[str, HierarchicalAssignment]:
-        num_levels = self.array.num_levels
+        num_levels = self.simulator.array.num_levels
         assignments = {
             MODEL_PARALLELISM: model_parallelism(model, num_levels),
             DATA_PARALLELISM: data_parallelism(model, num_levels),
@@ -228,10 +172,10 @@ class ExperimentRunner:
         """
         hypar_result = self.optimized_parallelism(model)
         assignments = self._assignments(model, hypar_result)
-        table = self.simulator.cost_table(model, self.batch_size)
+        table = self.simulator.cost_table(model, self.plan.batch_size)
         reports = {
             name: self.simulator.simulate(
-                model, assignment, self.batch_size, name, cost_table=table
+                model, assignment, self.plan.batch_size, name, cost_table=table
             )
             for name, assignment in assignments.items()
         }
@@ -252,11 +196,7 @@ class ExperimentRunner:
         """
         models = list(models) if models is not None else all_models()
         with owned_engine(engine) as resolved:
-            if resolved.workers <= 1:
-                comparisons = resolved.map(self.compare, models)
-            else:
-                config = self._task_config()
-                comparisons = resolved.map(
-                    _compare_task, [(config, model) for model in models]
-                )
+            comparisons = resolved.map(
+                _compare_task, [(self.plan, self.include_trick, model) for model in models]
+            )
         return EvaluationTable(tuple(comparisons))

@@ -20,21 +20,18 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.accelerator.array import ArrayConfig
 from repro.analysis.experiments import DATA_PARALLELISM, HYPAR, ExperimentRunner
 from repro.core.exhaustive import (
     DEFAULT_MAX_CANDIDATES,
     check_free_positions,
     restricted_assignment,
 )
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE
 from repro.core.parallelism import HierarchicalAssignment
-from repro.core.tensors import ScalingMode
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import lenet_c, vgg_a
 from repro.sim.metrics import TrainingStepReport
-from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
+from repro.sweep.spec import PlanConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,10 +80,7 @@ class _SweepContext:
     model and base assignment once, not once per point.
     """
 
-    array: ArrayConfig
-    batch_size: int
-    scaling_mode: ScalingMode
-    strategies: str
+    plan: PlanConfig
     model: DNNModel
     base_assignment: HierarchicalAssignment
     free_positions: tuple[tuple[int, int], ...]
@@ -100,12 +94,9 @@ def _sweep_point_task(task: tuple[_SweepContext, int]) -> float:
     Parallelism baseline -- the z axis of the Figures 9/10 surfaces.
     """
     context, codes = task
-    simulator = cached_simulator(
-        context.array,
-        scaling_mode=context.scaling_mode,
-        strategies=context.strategies,
-    )
-    cost_table = simulator.cost_table(context.model, context.batch_size)
+    simulator = context.plan.simulator()
+    batch_size = context.plan.batch_size
+    cost_table = simulator.cost_table(context.model, batch_size)
     assignment = restricted_assignment(
         context.base_assignment,
         context.free_positions,
@@ -115,7 +106,7 @@ def _sweep_point_task(task: tuple[_SweepContext, int]) -> float:
     report = simulator.simulate(
         context.model,
         assignment,
-        context.batch_size,
+        batch_size,
         strategy_name="sweep",
         cost_table=cost_table,
     )
@@ -125,6 +116,7 @@ def _sweep_point_task(task: tuple[_SweepContext, int]) -> float:
 class ParallelismExplorer:
     """Sweeps restricted slices of the hierarchical parallelism space.
 
+    Every point runs on ``plan`` (the paper's platform by default).
     ``engine`` (a :class:`~repro.sweep.engine.SweepEngine`, a worker count,
     or ``None`` for serial) controls how the sweep's independent simulation
     points are mapped; results are byte-identical for every engine.
@@ -132,19 +124,10 @@ class ParallelismExplorer:
 
     def __init__(
         self,
-        array: ArrayConfig | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
-        strategies=None,
+        plan: PlanConfig | None = None,
         engine: "SweepEngine | int | None" = None,
     ) -> None:
-        self.runner = ExperimentRunner(
-            array=array,
-            batch_size=batch_size,
-            scaling_mode=scaling_mode,
-            strategies=strategies,
-        )
-        self.batch_size = batch_size
+        self.runner = ExperimentRunner(plan)
         #: Raw engine spec; resolved (and, for worker counts, closed)
         #: per explore() call by ``owned_engine``.
         self.engine = engine
@@ -172,14 +155,11 @@ class ParallelismExplorer:
         baseline_report = comparison.reports[DATA_PARALLELISM]
         hypar_performance = comparison.reports[HYPAR].speedup_over(baseline_report)
 
-        space = self.runner.strategies
+        space = self.runner.simulator.strategies
         free = list(free_positions)
         check_free_positions(model, base_assignment, free, DEFAULT_MAX_CANDIDATES, space)
         context = _SweepContext(
-            array=self.runner.array,
-            batch_size=self.batch_size,
-            scaling_mode=self.runner.scaling_mode,
-            strategies=space.describe(),
+            plan=self.runner.plan,
             model=model,
             base_assignment=base_assignment,
             free_positions=tuple(free),
@@ -214,7 +194,7 @@ class ParallelismExplorer:
         """Figure 9: sweep all Lenet-c layers at levels H1 and H4."""
         model = lenet_c()
         num_layers = len(model)
-        levels = self.runner.array.num_levels
+        levels = self.runner.simulator.array.num_levels
         first_level = 0
         last_level = levels - 1
         free = [(first_level, layer) for layer in range(num_layers)]
@@ -226,7 +206,7 @@ class ParallelismExplorer:
         model = vgg_a()
         conv5_2 = model.layer_by_name("conv5_2").index
         fc1 = model.layer_by_name("fc1").index
-        levels = self.runner.array.num_levels
+        levels = self.runner.simulator.array.num_levels
         free = [(level, conv5_2) for level in range(levels)]
         free += [(level, fc1) for level in range(levels)]
         return self.explore(model, free)

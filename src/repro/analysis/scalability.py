@@ -13,16 +13,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.accelerator.array import ArrayConfig
 from repro.core.baselines import data_parallelism
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import StrategySpace
-from repro.core.tensors import ScalingMode
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import vgg_a
 from repro.sim.metrics import TrainingStepReport
-from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
+from repro.sweep.spec import PlanConfig
 
 #: The paper sweeps 1, 2, 4, ..., 64 accelerators.
 DEFAULT_ARRAY_SIZES = (1, 2, 4, 8, 16, 32, 64)
@@ -100,47 +96,30 @@ class ScalabilityStudy:
         return rows
 
 
-@dataclasses.dataclass(frozen=True)
-class _ScalabilityContext:
-    """Shared, picklable state of one Figure 11 sweep."""
-
-    base_array: ArrayConfig
-    batch_size: int
-    scaling_mode: ScalingMode
-    strategies: str | None
-    model: DNNModel
-
-
 def _scalability_task(
-    task: tuple[_ScalabilityContext, int]
+    task: tuple[PlanConfig, DNNModel]
 ) -> tuple[TrainingStepReport, TrainingStepReport]:
     """Sweep-engine task: HyPar and Data Parallelism reports at one size."""
-    context, size = task
-    model = context.model
-    simulator = cached_simulator(
-        context.base_array.with_num_accelerators(size),
-        scaling_mode=context.scaling_mode,
-        strategies=context.strategies,
-    )
-    if size == 1:
-        report = simulator.simulate(
-            model, None, context.batch_size, strategy_name="single"
-        )
+    plan, model = task
+    simulator = plan.simulator()
+    batch_size = plan.batch_size
+    if plan.num_accelerators == 1:
+        report = simulator.simulate(model, None, batch_size, strategy_name="single")
         return report, report
 
     # Share one compiled cost table between the search and both
     # strategies' simulations at this array size.
-    table = simulator.cost_table(model, context.batch_size)
+    table = simulator.cost_table(model, batch_size)
     hypar_assignment = simulator.partitioner.partition(
-        model, context.batch_size, table=table
+        model, batch_size, table=table
     ).assignment
     dp_assignment = data_parallelism(model, simulator.array.num_levels)
 
     hypar_report = simulator.simulate(
-        model, hypar_assignment, context.batch_size, "HyPar", cost_table=table
+        model, hypar_assignment, batch_size, "HyPar", cost_table=table
     )
     dp_report = simulator.simulate(
-        model, dp_assignment, context.batch_size, "Data Parallelism", cost_table=table
+        model, dp_assignment, batch_size, "Data Parallelism", cost_table=table
     )
     return hypar_report, dp_report
 
@@ -148,55 +127,41 @@ def _scalability_task(
 def run_scalability_study(
     model: DNNModel | None = None,
     array_sizes: Sequence[int] = DEFAULT_ARRAY_SIZES,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    base_array: ArrayConfig | None = None,
-    scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
-    strategies=None,
+    plan: PlanConfig | None = None,
     engine: "SweepEngine | int | None" = None,
 ) -> ScalabilityStudy:
     """Sweep the array size for HyPar and Data Parallelism (Figure 11).
 
     ``model`` defaults to VGG-A, the network the paper uses for this study.
-    One sweep task per array size maps through ``engine`` (serial by
-    default, byte-identical for any worker count).
+    Each point runs on ``plan`` (the paper's platform by default) with
+    ``num_accelerators`` set to its array size.  One sweep task per array
+    size maps through ``engine`` (serial by default, byte-identical for any
+    worker count).
     """
     model = model or vgg_a()
-    base_array = base_array or ArrayConfig()
+    plan = plan if plan is not None else PlanConfig()
     sizes = tuple(sorted(set(array_sizes)))
-    if sizes[0] < 1:
+    if not sizes or sizes[0] < 1:
         raise ValueError("array sizes must be at least 1")
 
-    context = _ScalabilityContext(
-        base_array=base_array,
-        batch_size=batch_size,
-        scaling_mode=ScalingMode.parse(scaling_mode),
-        strategies=StrategySpace.parse(strategies).describe(),
-        model=model,
-    )
+    tasks = [(dataclasses.replace(plan, num_accelerators=size), model) for size in sizes]
     with owned_engine(engine) as resolved:
-        reports = resolved.map(_scalability_task, [(context, size) for size in sizes])
+        reports = resolved.map(_scalability_task, tasks)
 
-    hypar_points: list[ScalabilityPoint] = []
-    dp_points: list[ScalabilityPoint] = []
-    single_seconds: float | None = None
-    for size, (hypar_report, dp_report) in zip(sizes, reports):
-        if size == 1:
-            single_seconds = hypar_report.step_seconds
-            hypar_points.append(ScalabilityPoint(size, "HyPar", hypar_report))
-            dp_points.append(ScalabilityPoint(size, "Data Parallelism", dp_report))
-            continue
-        hypar_points.append(ScalabilityPoint(size, "HyPar", hypar_report))
-        dp_points.append(ScalabilityPoint(size, "Data Parallelism", dp_report))
-
-    if single_seconds is None:
-        # The sweep did not include a single-accelerator point; normalise to
-        # the smallest size instead.
-        single_seconds = hypar_points[0].step_seconds
-
+    hypar_points = tuple(
+        ScalabilityPoint(size, "HyPar", hypar_report)
+        for size, (hypar_report, _) in zip(sizes, reports)
+    )
+    dp_points = tuple(
+        ScalabilityPoint(size, "Data Parallelism", dp_report)
+        for size, (_, dp_report) in zip(sizes, reports)
+    )
     return ScalabilityStudy(
         model_name=model.name,
         array_sizes=sizes,
-        single_accelerator_seconds=single_seconds,
-        hypar=ScalabilityCurve("HyPar", tuple(hypar_points)),
-        data_parallelism=ScalabilityCurve("Data Parallelism", tuple(dp_points)),
+        # The single accelerator when the sweep has one (sizes are sorted),
+        # else the smallest size swept.
+        single_accelerator_seconds=hypar_points[0].step_seconds,
+        hypar=ScalabilityCurve("HyPar", hypar_points),
+        data_parallelism=ScalabilityCurve("Data Parallelism", dp_points),
     )

@@ -13,16 +13,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.accelerator.array import ArrayConfig
 from repro.analysis.report import geometric_mean
 from repro.core.baselines import data_parallelism
-from repro.core.hierarchical import DEFAULT_BATCH_SIZE
-from repro.core.parallelism import StrategySpace
-from repro.core.tensors import ScalingMode
 from repro.nn.model import DNNModel
 from repro.nn.model_zoo import all_models
-from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
+from repro.sweep.spec import PlanConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,29 +60,14 @@ class TopologyStudy:
         ]
 
 
-@dataclasses.dataclass(frozen=True)
-class _TopologyContext:
-    """Shared, picklable state of one Figure 12 sweep."""
-
-    array: ArrayConfig
-    batch_size: int
-    scaling_mode: ScalingMode
-    strategies: str | None
-
-
-def _topology_task(task: tuple[_TopologyContext, DNNModel]) -> TopologyComparison:
+def _topology_task(task: tuple[PlanConfig, DNNModel]) -> TopologyComparison:
     """Sweep-engine task: one network on both interconnects."""
-    context, model = task
+    plan, model = task
     htree_simulator, torus_simulator = (
-        cached_simulator(
-            context.array,
-            topology,
-            scaling_mode=context.scaling_mode,
-            strategies=context.strategies,
-        )
+        dataclasses.replace(plan, topology=topology).simulator()
         for topology in ("htree", "torus")
     )
-    batch_size = context.batch_size
+    batch_size = plan.batch_size
 
     # One table serves the search and all three simulations: the compiled
     # amounts depend on the model and batch, not on the interconnect.
@@ -94,7 +75,7 @@ def _topology_task(task: tuple[_TopologyContext, DNNModel]) -> TopologyCompariso
     hypar_assignment = htree_simulator.partitioner.partition(
         model, batch_size, table=table
     ).assignment
-    dp_assignment = data_parallelism(model, context.array.num_levels)
+    dp_assignment = data_parallelism(model, htree_simulator.array.num_levels)
 
     baseline = htree_simulator.simulate(
         model, dp_assignment, batch_size, "Data Parallelism", cost_table=table
@@ -115,26 +96,18 @@ def _topology_task(task: tuple[_TopologyContext, DNNModel]) -> TopologyCompariso
 
 def run_topology_study(
     models: Sequence[DNNModel] | None = None,
-    array: ArrayConfig | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
-    strategies=None,
+    plan: PlanConfig | None = None,
     engine: "SweepEngine | int | None" = None,
 ) -> TopologyStudy:
     """Compare HyPar on the H tree and on the torus (Figure 12).
 
-    One sweep task per network maps through ``engine`` (serial by default,
-    byte-identical for any worker count).
+    Each network runs on ``plan`` (the paper's platform by default) with
+    ``topology`` set to ``"htree"`` and to ``"torus"``.  One sweep task per
+    network maps through ``engine`` (serial by default, byte-identical for
+    any worker count).
     """
     models = list(models) if models is not None else all_models()
-    context = _TopologyContext(
-        array=array or ArrayConfig(),
-        batch_size=batch_size,
-        scaling_mode=ScalingMode.parse(scaling_mode),
-        strategies=StrategySpace.parse(strategies).describe(),
-    )
+    plan = plan if plan is not None else PlanConfig()
     with owned_engine(engine) as resolved:
-        comparisons = resolved.map(
-            _topology_task, [(context, model) for model in models]
-        )
+        comparisons = resolved.map(_topology_task, [(plan, model) for model in models])
     return TopologyStudy(tuple(comparisons))

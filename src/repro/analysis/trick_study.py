@@ -26,15 +26,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.accelerator.array import ArrayConfig
 from repro.analysis.report import geometric_mean
 from repro.core.baselines import one_weird_trick
-from repro.core.parallelism import StrategySpace
-from repro.core.tensors import ScalingMode
 from repro.nn.model import DNNModel, build_model
 from repro.nn.model_zoo import vgg_e
-from repro.sweep.cache import cached_simulator
 from repro.sweep.engine import SweepEngine, owned_engine
+from repro.sweep.spec import PlanConfig
 
 #: The six configurations shown in Figure 13.
 DEFAULT_CONFIGS = (
@@ -109,25 +106,13 @@ def focus_subnetwork(model: DNNModel, focus_layer_name: str) -> DNNModel:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class _TrickContext:
-    """Shared, picklable state of one Figure 13 sweep."""
-
-    base_array: ArrayConfig
-    scaling_mode: ScalingMode
-    strategies: str | None
-    model: DNNModel
-
-
-def _trick_task(task: tuple[_TrickContext, tuple[str, int, int]]) -> TrickComparison:
+def _trick_task(task: tuple[DNNModel, str, PlanConfig]) -> TrickComparison:
     """Sweep-engine task: one ``<focus layer>-b<batch>-h<levels>`` configuration."""
-    context, (focus, batch_size, num_levels) = task
-    subnetwork = focus_subnetwork(context.model, FOCUS_LAYERS[focus])
-    simulator = cached_simulator(
-        context.base_array.with_num_accelerators(1 << num_levels),
-        scaling_mode=context.scaling_mode,
-        strategies=context.strategies,
-    )
+    model, focus, plan = task
+    subnetwork = focus_subnetwork(model, FOCUS_LAYERS[focus])
+    simulator = plan.simulator()
+    batch_size = plan.batch_size
+    num_levels = simulator.array.num_levels
 
     table = simulator.cost_table(subnetwork, batch_size)
     hypar_assignment = simulator.partitioner.partition(
@@ -154,28 +139,31 @@ def _trick_task(task: tuple[_TrickContext, tuple[str, int, int]]) -> TrickCompar
 
 def run_trick_study(
     configs: Sequence[tuple[str, int, int]] = DEFAULT_CONFIGS,
-    base_array: ArrayConfig | None = None,
-    scaling_mode: ScalingMode | str = ScalingMode.PARALLELISM_AWARE,
-    strategies=None,
+    plan: PlanConfig | None = None,
     engine: "SweepEngine | int | None" = None,
 ) -> TrickStudy:
     """Compare HyPar with "one weird trick" over the Figure 13 configurations.
 
-    One sweep task per configuration maps through ``engine`` (serial by
-    default, byte-identical for any worker count).
+    Each ``(focus, batch, levels)`` configuration runs on ``plan`` (the
+    paper's platform by default) with ``batch_size`` set to its batch and
+    ``num_accelerators`` to ``2**levels``.  One sweep task per
+    configuration maps through ``engine`` (serial by default,
+    byte-identical for any worker count).
     """
     for focus, _, _ in configs:
         if focus not in FOCUS_LAYERS:
             known = ", ".join(sorted(FOCUS_LAYERS))
             raise KeyError(f"unknown focus layer {focus!r}; known: {known}")
-    context = _TrickContext(
-        base_array=base_array or ArrayConfig(),
-        scaling_mode=ScalingMode.parse(scaling_mode),
-        strategies=StrategySpace.parse(strategies).describe(),
-        model=vgg_e(),
-    )
-    with owned_engine(engine) as resolved:
-        comparisons = resolved.map(
-            _trick_task, [(context, tuple(config)) for config in configs]
+    plan = plan if plan is not None else PlanConfig()
+    model = vgg_e()
+    tasks = [
+        (
+            model,
+            focus,
+            dataclasses.replace(plan, batch_size=batch_size, num_accelerators=1 << num_levels),
         )
+        for focus, batch_size, num_levels in configs
+    ]
+    with owned_engine(engine) as resolved:
+        comparisons = resolved.map(_trick_task, tasks)
     return TrickStudy(tuple(comparisons))

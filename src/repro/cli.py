@@ -89,12 +89,11 @@ from typing import Sequence
 # Every command builds the whole parser, whose choices, defaults and
 # validators come from these modules.  Anything else is imported by the
 # handler that runs it, so a command loads only what it uses.
-from repro.accelerator.array import ArrayConfig
 from repro.core.strategies import registered_strategies
 from repro.core.tensors import ScalingMode
 from repro.nn.model_zoo import all_model_builders, get_model
 from repro.sim.backend import SIM_ENGINES
-from repro.sweep.spec import TOPOLOGY_NAMES, PlanConfig
+from repro.sweep.spec import PLAN_FIELDS, TOPOLOGY_NAMES, PlanConfig
 
 
 def _model_name(name: str) -> str:
@@ -297,17 +296,20 @@ def _add_sim_engine_option(
     )
 
 
+def _plan(args: argparse.Namespace) -> PlanConfig:
+    """The platform a command's options name (``--accelerators`` sets
+    ``num_accelerators``); a field the command has no option for keeps
+    its default."""
+    fields = {field: getattr(args, field) for field in PLAN_FIELDS if hasattr(args, field)}
+    if hasattr(args, "accelerators"):
+        fields["num_accelerators"] = args.accelerators
+    return PlanConfig(**fields)
+
+
 def _build_runner(args: argparse.Namespace, include_trick: bool = False):
     from repro.analysis.experiments import ExperimentRunner
 
-    return ExperimentRunner(
-        array=ArrayConfig(num_accelerators=args.accelerators),
-        batch_size=args.batch_size,
-        scaling_mode=args.scaling_mode,
-        include_trick=include_trick,
-        strategies=args.strategies,
-        cost_model=args.cost_model,
-    )
+    return ExperimentRunner(_plan(args), include_trick)
 
 
 def _model_as_dict(model) -> dict:
@@ -437,13 +439,7 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
     from repro.analysis.scalability import run_scalability_study
 
     model = get_model(args.model)
-    study = run_scalability_study(
-        model=model,
-        array_sizes=args.sizes,
-        batch_size=args.batch_size,
-        scaling_mode=args.scaling_mode,
-        strategies=args.strategies,
-    )
+    study = run_scalability_study(model, args.sizes, _plan(args))
     rows = study.as_rows()
     print(
         format_series(
@@ -482,13 +478,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.analysis.topology_study import run_topology_study
 
     models = [get_model(name) for name in args.models] if args.models else None
-    study = run_topology_study(
-        models=models,
-        array=ArrayConfig(num_accelerators=args.accelerators),
-        batch_size=args.batch_size,
-        scaling_mode=args.scaling_mode,
-        strategies=args.strategies,
-    )
+    study = run_topology_study(models, _plan(args))
     rows = {
         row["model"]: {"Torus": row["torus"], "H Tree": row["h_tree"]}
         for row in study.as_rows()
@@ -508,9 +498,7 @@ def _cmd_trick(args: argparse.Namespace) -> int:
     from repro.analysis.report import format_table
     from repro.analysis.trick_study import run_trick_study
 
-    study = run_trick_study(
-        scaling_mode=args.scaling_mode, strategies=args.strategies
-    )
+    study = run_trick_study(plan=_plan(args))
     rows = {
         row["config"]: {
             "Performance": row["performance"],
@@ -647,7 +635,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     result = runner.optimized_parallelism(model)
     trace = TraceBuilder(
         communication_model=runner.simulator.communication_model,
-        scaling_mode=runner.scaling_mode,
+        scaling_mode=runner.simulator.scaling_mode,
     ).build(model, result.assignment, args.batch_size)
     print(
         f"{model.name}: {len(trace.transfers)} transfers, "
@@ -667,7 +655,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.baselines import data_parallelism, model_parallelism
-    from repro.sim.api import SimulationSpec
     from repro.sim.api import simulate as run_simulation
     from repro.sim.training import PHASES
 
@@ -677,18 +664,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "2 accelerators, got --accelerators 1"
         )
     model = get_model(args.model)
-    simulator = PlanConfig(
-        batch_size=args.batch_size,
-        num_accelerators=args.accelerators,
-        topology=args.topology,
-        scaling_mode=args.scaling_mode,
-        strategies=args.strategies,
-        sim_engine=args.sim_engine,
-    ).simulator()
+    plan = _plan(args)
 
     assignment = None
     strategy_name = None
-    num_levels = simulator.array.num_levels
+    num_levels = plan.simulator().array.num_levels
     if args.strategy == "dp":
         assignment = data_parallelism(model, num_levels)
         strategy_name = "Data Parallelism"
@@ -696,13 +676,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         assignment = model_parallelism(model, num_levels)
         strategy_name = "Model Parallelism"
 
-    result = run_simulation(
-        model,
-        assignment,
-        SimulationSpec(batch_size=args.batch_size, sim_engine=args.sim_engine),
-        simulator=simulator,
-        strategy_name=strategy_name,
-    )
+    result = run_simulation(model, assignment, plan, strategy_name=strategy_name)
     report = result.report
     print(
         f"{report.model_name} / {report.strategy_name} on {report.topology_name} "

@@ -2,8 +2,9 @@
 
 * :mod:`repro.sim.engine` -- a generic discrete-event scheduling engine
   (resources, dependent tasks, event queue).
-* :mod:`repro.sim.api` -- the unified entry point: :func:`simulate` over a
-  :class:`SimulationSpec`, with keyword-only engine selection.
+* :mod:`repro.sim.api` -- the unified entry point: :func:`simulate` on a
+  :class:`~repro.sweep.spec.PlanConfig`, whose ``sim_engine`` selects the
+  engine.
 * :mod:`repro.sim.backend` -- the engine names (``"analytic"`` /
   ``"network"``) and their validation.
 * :mod:`repro.sim.training` -- builds the task graph of one training step
@@ -31,7 +32,6 @@ _EXPORTS = {
     "ScheduledTask": "engine",
     "SimulationError": "engine",
     "TrainingSimulator": "training",
-    "SimulationSpec": "api",
     "SimulationResult": "api",
     "simulate": "api",
     "SIM_ENGINES": "backend",

@@ -21,7 +21,7 @@ any simulation runs.
 from __future__ import annotations
 
 #: Engine names accepted everywhere a ``sim_engine`` is spelled (CLI,
-#: service, sweep specs, :class:`~repro.sim.api.SimulationSpec`).
+#: service, sweep specs, :class:`~repro.sweep.spec.PlanConfig`).
 SIM_ENGINES = ("analytic", "network")
 
 #: The engine used when none is requested; keeps every historical caller,

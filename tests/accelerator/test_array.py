@@ -45,13 +45,6 @@ class TestDerivedQuantities:
         assert [a.index for a in accelerators] == [0, 1, 2, 3]
         assert all(a.num_pus == array.pus_per_accelerator for a in accelerators)
 
-    def test_with_num_accelerators_preserves_other_fields(self):
-        base = ArrayConfig(link_bandwidth_bits=800e6, pus_per_accelerator=2)
-        resized = base.with_num_accelerators(32)
-        assert resized.num_accelerators == 32
-        assert resized.link_bandwidth_bits == 800e6
-        assert resized.pus_per_accelerator == 2
-
 
 class TestValidation:
     def test_rejects_non_power_of_two(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.accelerator.array import ArrayConfig
 from repro.analysis.experiments import (
     DATA_PARALLELISM,
     HYPAR,
@@ -14,6 +13,7 @@ from repro.analysis.exploration import ParallelismExplorer
 from repro.core.hierarchical import HierarchicalPartitioner
 from repro.core.parallelism import DATA, MODEL
 from repro.nn.model_zoo import get_model
+from repro.sweep.spec import PlanConfig
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def runner():
 @pytest.fixture(scope="module")
 def small_runner():
     """Four accelerators and a small batch keep sweep-style tests cheap."""
-    return ExperimentRunner(array=ArrayConfig(num_accelerators=4), batch_size=64)
+    return ExperimentRunner(PlanConfig(batch_size=64, num_accelerators=4))
 
 
 @pytest.fixture(scope="module")

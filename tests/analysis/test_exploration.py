@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.accelerator.array import ArrayConfig
 from repro.analysis.exploration import ParallelismExplorer, bit_string, describe_point
 from repro.nn.model_zoo import get_model
+from repro.sweep.spec import PlanConfig
 
 
 @pytest.fixture(scope="module")
 def small_explorer():
     """Two hierarchy levels keep restricted sweeps cheap inside the test suite."""
-    return ParallelismExplorer(array=ArrayConfig(num_accelerators=4), batch_size=64)
+    return ParallelismExplorer(PlanConfig(batch_size=64, num_accelerators=4))
 
 
 @pytest.fixture(scope="module")

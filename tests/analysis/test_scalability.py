@@ -45,6 +45,10 @@ class TestStructure:
         with pytest.raises(ValueError):
             run_scalability_study(model=get_model("Lenet-c"), array_sizes=(0, 2))
 
+    def test_no_sizes_rejected(self):
+        with pytest.raises(ValueError, match="array sizes must be at least 1"):
+            run_scalability_study(model=get_model("Lenet-c"), array_sizes=())
+
 
 class TestScalingBehaviour:
     def test_single_accelerator_gain_is_one(self, study):

@@ -16,7 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.accelerator.array import ArrayConfig
 from repro.analysis.experiments import ExperimentRunner
 from repro.core.communication import CalibratedCommunicationModel, CommunicationModel
 from repro.core.costmodel import (
@@ -34,6 +33,7 @@ from repro.core.costs import CostTable, LayerAssignment, TableCache, table_cache
 from repro.core.tensors import model_tensors
 from repro.nn.model_zoo import lenet_c
 from repro.resilience.replan import ReplanConfig
+from repro.sweep.spec import PlanConfig
 
 SHIPPED_PACKS = ["congested-fabric", "fp16-precision", "hetero-accelerators",
                  "slow-interconnect"]
@@ -319,9 +319,7 @@ class TestProfiledChangesTheDecision:
     @staticmethod
     def _assignments(cost_model: str) -> list[list[str]]:
         runner = ExperimentRunner(
-            array=ArrayConfig(num_accelerators=4),
-            batch_size=64,
-            cost_model=cost_model,
+            PlanConfig(batch_size=64, num_accelerators=4, cost_model=cost_model)
         )
         result = runner.optimized_parallelism(lenet_c())
         return [

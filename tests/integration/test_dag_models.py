@@ -26,8 +26,9 @@ from repro.core.placement import TensorPlacement
 from repro.core.tensors import model_tensors
 from repro.nn.model_zoo import all_graph_models, all_models, inception_s, resnet_s
 from repro.nn.reference import ReferenceNetwork
-from repro.sim.api import SimulationSpec, simulate
+from repro.sim.api import simulate
 from repro.sim.training import TrainingSimulator
+from repro.sweep.spec import PlanConfig
 
 STRATEGY_SPACES = ["dp,mp", "dp,mp,pp"]
 
@@ -121,7 +122,7 @@ class TestGraphModelsEndToEnd:
 
         # --- simulation ---------------------------------------------------
         result = simulate(
-            model, spec=SimulationSpec(batch_size=batch_size, strategies=strategies)
+            model, plan=PlanConfig(batch_size=batch_size, strategies=strategies)
         )
         report, assignment = result.report, result.assignment
         assert report.step_seconds > 0

@@ -6,7 +6,7 @@ from repro import (
     ArrayConfig,
     ExperimentRunner,
     HierarchicalPartitioner,
-    SimulationSpec,
+    PlanConfig,
     TrainingSimulator,
     build_topology,
     get_model,
@@ -31,7 +31,7 @@ class TestPublicApiWorkflow:
         assert report.speedup_over(baseline) > 1.0
 
     def test_simulate_searches_when_no_assignment_given(self):
-        result = simulate(get_model("Lenet-c"), spec=SimulationSpec(batch_size=128))
+        result = simulate(get_model("Lenet-c"), plan=PlanConfig(batch_size=128))
         assert result.report.strategy_name == "HyPar"
         assert result.assignment.num_layers == 4
         assert result.sim_engine == "analytic"
@@ -47,7 +47,7 @@ class TestPublicApiWorkflow:
         assert report.step_seconds > 0
 
     def test_experiment_runner_single_model(self):
-        runner = ExperimentRunner(array=ArrayConfig(num_accelerators=4), batch_size=64)
+        runner = ExperimentRunner(PlanConfig(batch_size=64, num_accelerators=4))
         comparison = runner.compare(get_model("Lenet-c"))
         perf = comparison.normalized_performance()
         assert perf["Data Parallelism"] == pytest.approx(1.0)

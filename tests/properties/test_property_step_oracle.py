@@ -26,6 +26,7 @@ from repro.interconnect import HTreeTopology, TorusTopology
 from repro.nn.model_zoo import get_model
 from repro.sim.backend import SIM_ENGINES
 from repro.sim.training import TrainingSimulator
+from repro.sweep.spec import PlanConfig
 
 
 def _load_oracle():
@@ -119,10 +120,14 @@ def test_records_and_report_match_the_oracle(step):
 @settings(max_examples=20, deadline=None)
 @given(steps())
 def test_simulate_entry_point_schedule_matches_the_oracle(step):
-    """``repro.sim.simulate(...).schedule`` gives the oracle's records when read."""
+    """``repro.sim.simulate(...).schedule`` on a plan gives the oracle's
+    records on that plan's platform when read."""
     model, space, size, topology, engine, assignment = step
-    simulator, oracle = _simulators(space, size, topology)
-    result = sim.simulate(model, assignment, simulator=simulator, sim_engine=engine)
-    oracle.simulate(model, assignment, 256, "custom", sim_engine=engine)
-    assert result.schedule is simulator.last_schedule
+    _, oracle = _simulators(space, size, topology)
+    plan = PlanConfig(
+        num_accelerators=size, topology=topology, strategies=space, sim_engine=engine
+    )
+    result = sim.simulate(model, assignment, plan)
+    oracle.simulate(model, assignment, plan.batch_size, "custom", sim_engine=engine)
+    assert result.schedule is plan.simulator().last_schedule
     assert _records(result.schedule) == _records(oracle.last_schedule)

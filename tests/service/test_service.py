@@ -89,12 +89,12 @@ class TestGetEndpoints:
 class TestPartitionEndpoint:
     def test_partition_matches_the_offline_search(self, client):
         from repro.analysis.experiments import ExperimentRunner
-        from repro.accelerator.array import ArrayConfig
         from repro.nn.model_zoo import lenet_c
+        from repro.sweep.spec import PlanConfig
 
         served = client.partition(model="Lenet-c", batch_size=64, num_accelerators=4)
         offline = ExperimentRunner(
-            array=ArrayConfig(num_accelerators=4), batch_size=64
+            PlanConfig(batch_size=64, num_accelerators=4)
         ).optimized_parallelism(lenet_c())
         assert served["total_communication_bytes"] == offline.total_communication_bytes
         assert [level["assignment"] for level in served["levels"]] == [

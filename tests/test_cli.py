@@ -308,7 +308,8 @@ class TestBadInput:
 
     def test_single_accelerator_still_simulates(self, capsys):
         assert main(["simulate", "Lenet-c", "--accelerators", "1", "--batch-size", "64"]) == 0
-        assert "1 accelerators" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Lenet-c / single on none (1 accelerators" in out
 
 
 class TestSweepCommand:
