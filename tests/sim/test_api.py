@@ -18,6 +18,31 @@ from repro.sweep.spec import PlanConfig
 SMALL = PlanConfig(batch_size=64, num_accelerators=4)
 
 
+class TestSimulationSpec:
+    """The spec :func:`simulate` runs on is a :class:`PlanConfig`: the
+    paper's platform by default, refusing a bad value when built, and
+    carrying its engine into its simulator."""
+
+    def test_defaults_are_the_paper_platform(self):
+        plan = PlanConfig()
+        assert plan.batch_size == 256
+        assert plan.sim_engine == "analytic"
+        simulator = plan.simulator()
+        assert simulator.array.num_accelerators == 16
+        assert simulator.topology.name == "h-tree"
+
+    def test_rejects_nonpositive_batch(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            PlanConfig(batch_size=0)
+
+    def test_rejects_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown sim engine"):
+            PlanConfig(sim_engine="psychic")
+
+    def test_build_simulator_carries_the_engine(self):
+        assert PlanConfig(sim_engine="network").simulator().sim_engine == "network"
+
+
 class TestBackendRegistry:
     def test_known_engines(self):
         assert SIM_ENGINES == ("analytic", "network")
@@ -69,6 +94,15 @@ class TestSimulateEntryPoint:
         assert network.sim_engine == "network"
         assert network.report.step_seconds < analytic.report.step_seconds
 
+    def test_spec_engine_applies_without_override(self, lenet_model):
+        """The plan's engine runs when the call names none, so the entry
+        point and the plan's own simulator report one step."""
+        plan = dataclasses.replace(SMALL, sim_engine="network")
+        assignment = data_parallelism(lenet_model, 2)
+        result = simulate(lenet_model, assignment, plan)
+        assert result.sim_engine == "network"
+        assert plan.simulator().simulate(lenet_model, assignment, 64) == result.report
+
     def test_simulator_method_engine_override(self, lenet_model):
         """`TrainingSimulator.simulate` takes a keyword-only engine override."""
         simulator = TrainingSimulator(ArrayConfig(num_accelerators=4))
@@ -101,8 +135,22 @@ class TestSimulateEntryPoint:
 
 
 class TestSuppliedCostTable:
-    """A table compiled for another model or batch is refused by the
-    plan's search and by its simulation."""
+    """A supplied compiled table serves the search and the simulation; one
+    compiled for another model or batch is refused by both."""
+
+    def test_searched_run_uses_the_supplied_table(self, lenet_model):
+        simulator = TrainingSimulator(ArrayConfig(num_accelerators=4))
+        table = SMALL.simulator().cost_table(lenet_model, 64)
+        assignment = simulator.partitioner.partition(
+            lenet_model, 64, table=table
+        ).assignment
+        report = simulator.simulate(
+            lenet_model, assignment, 64, "HyPar", cost_table=table
+        )
+        assert (simulator.table_cache.misses, simulator.table_cache.hits) == (0, 0)
+        searched = simulate(lenet_model, plan=SMALL)
+        assert assignment == searched.assignment
+        assert report == searched.report
 
     @pytest.mark.parametrize(
         "table_model,table_batch",
